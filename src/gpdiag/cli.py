@@ -7,13 +7,14 @@ sweep --config <file>                      declarative sweep -> CSV
 steady --omega1 .. --omega2 ..             one steady state -> stdout
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
-(no steady state anywhere on a path).
+(no point of a recipe or sweep produced a value).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,6 +34,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, ok, expected: str):
+    """argparse type: convert(text), rejected with a usage error unless ok(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {expected}")
+        return value
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "a finite number")
+_non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_samples = _checked(int, lambda v: v >= 2, "an integer >= 2")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gpdiag",
                      description="Cascade-emitter steady states, entanglement, and geometric phase.")
@@ -48,25 +67,26 @@ def _build_parser() -> _Parser:
     _add_common(sweep, flag_defaults=False)
 
     steady = sub.add_parser("steady", help="print one steady state")
-    steady.add_argument("--omega1", type=float, required=True)
-    steady.add_argument("--omega2", type=float, required=True)
-    steady.add_argument("--delta1", type=float, default=0.0)
-    steady.add_argument("--delta2", type=float, default=0.0)
+    steady.add_argument("--omega1", type=_non_negative, required=True)
+    steady.add_argument("--omega2", type=_non_negative, required=True)
+    steady.add_argument("--delta1", type=_finite, default=0.0)
+    steady.add_argument("--delta2", type=_finite, default=0.0)
     steady.add_argument("--scheme", choices=("I", "II"), default="I")
-    steady.add_argument("--gamma2", type=float, default=DEFAULT_GAMMA2)
-    steady.add_argument("--gamma3", type=float, default=None,
+    steady.add_argument("--gamma2", type=_non_negative, default=DEFAULT_GAMMA2)
+    steady.add_argument("--gamma3", type=_non_negative, default=None,
                         help="decay of the top level (default: 1 for scheme I, 0 for scheme II)")
     return parser
 
 
 def _add_common(sub, flag_defaults: bool = True):
     sub.add_argument("--out", default="./out", help="output directory (default ./out)")
-    sub.add_argument("--samples", type=int, default=601 if flag_defaults else None,
+    sub.add_argument("--samples", type=_samples, default=601 if flag_defaults else None,
                      help="samples per axis (default 601)")
     sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                      help="worker processes (default: number of processors)")
-    sub.add_argument("--gamma2", type=float, default=DEFAULT_GAMMA2 if flag_defaults else None)
-    sub.add_argument("--gamma3", type=float,
+    sub.add_argument("--gamma2", type=_non_negative,
+                     default=DEFAULT_GAMMA2 if flag_defaults else None)
+    sub.add_argument("--gamma3", type=_non_negative,
                      default=DEFAULT_GAMMA3_REAL if flag_defaults else None,
                      help="scheme-I decay of the top level")
 

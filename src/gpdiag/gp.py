@@ -183,23 +183,27 @@ def track_spectrum(states, eps_lambda: float = EPS_LAMBDA) -> SpectralTrajectory
     return SpectralTrajectory(lam, vecs, kept, warning, min_overlap)
 
 
-def _prefix_phases(traj: SpectralTrajectory):
-    """Complex weighted overlap sum for every prefix [0..j] of the trajectory."""
+def _prefix_terms(traj: SpectralTrajectory) -> np.ndarray:
+    """Weighted overlap term of every kept branch for every prefix [0..j] of the trajectory.
+
+    Row j, column b holds sqrt(lambda_k(0) lambda_k(j)) z_k for branch
+    k = kept_branches[b], with z_k taken over the prefix; row 0 holds
+    lambda_k(0).  Raises UndefinedPhaseError when no branch carries weight.
+    """
     lam, vecs, kept = traj.eigenvalues, traj.eigenvectors, traj.kept_branches
+    if not kept:
+        raise UndefinedPhaseError("no branch carries weight at both endpoints")
     m = lam.shape[0]
-    totals = np.empty(m, dtype=complex)
-    totals[0] = np.sum(lam[0, list(kept)]) if kept else 0.0
-    acc = {k: 0.0 for k in kept}
+    terms = np.empty((m, len(kept)), dtype=complex)
+    terms[0] = lam[0, list(kept)]
+    acc = [0.0] * len(kept)
     for j in range(1, m):
-        total = 0.0 + 0.0j
-        for k in kept:
+        for b, k in enumerate(kept):
             step = np.vdot(vecs[j - 1][:, k], vecs[j][:, k])
-            acc[k] += math.atan2(step.imag, step.real)
-            z = np.vdot(vecs[0][:, k], vecs[j][:, k]) * np.exp(-1j * acc[k])
-            weight = math.sqrt(max(lam[0, k], 0.0) * max(lam[j, k], 0.0))
-            total += weight * z
-        totals[j] = total
-    return totals
+            acc[b] += math.atan2(step.imag, step.real)
+            z = np.vdot(vecs[0][:, k], vecs[j][:, k]) * np.exp(-1j * acc[b])
+            terms[j, b] = math.sqrt(max(lam[0, k], 0.0) * max(lam[j, k], 0.0)) * z
+    return terms
 
 
 def mixed_state_gp(traj: SpectralTrajectory) -> GeometricPhaseResult:
@@ -208,18 +212,7 @@ def mixed_state_gp(traj: SpectralTrajectory) -> GeometricPhaseResult:
     Raises UndefinedPhaseError when no branch carries weight or the weighted
     overlap sum has modulus below EPS_VIS.
     """
-    if not traj.kept_branches:
-        raise UndefinedPhaseError("no branch carries weight at both endpoints")
-    lam, vecs = traj.eigenvalues, traj.eigenvectors
-    m = lam.shape[0]
-    terms = {}
-    for k in traj.kept_branches:
-        acc = 0.0
-        for j in range(m - 1):
-            ov = np.vdot(vecs[j][:, k], vecs[j + 1][:, k])
-            acc += math.atan2(ov.imag, ov.real)
-        z = np.vdot(vecs[0][:, k], vecs[m - 1][:, k]) * np.exp(-1j * acc)
-        terms[k] = math.sqrt(max(lam[0, k], 0.0) * max(lam[-1, k], 0.0)) * z
+    terms = dict(zip(traj.kept_branches, _prefix_terms(traj)[-1]))
     total = sum(terms.values())
     if abs(total) <= EPS_VIS:
         raise UndefinedPhaseError(
@@ -276,10 +269,9 @@ def gp_curve_from_states(states, values) -> list:
     prefix reuses it.  Undefined-phase points are recorded as (value, None)
     gaps.  The defined points are phase-unwrapped in path order.
     """
-    traj = track_spectrum(states)
-    if not traj.kept_branches:
-        raise UndefinedPhaseError("no branch carries weight at both endpoints")
-    totals = _prefix_phases(traj)
+    # sum() adds the branches in order, as mixed_state_gp does, so the last
+    # point equals mixed_state_gp bitwise
+    totals = [sum(row) for row in _prefix_terms(track_spectrum(states))]
     gammas = [
         float(np.angle(t)) if abs(t) > EPS_VIS else None for t in totals
     ]

@@ -2,8 +2,10 @@
 
 Recipe parameters that are free choices (grid windows, the drive strength of
 the derivative-surface maps, the fluctuation-map window) are frozen here and
-recorded in a sidecar <id>_meta.json for transparency.  All outputs are
-deterministic for a given sample count, independent of the worker count.
+recorded in a sidecar <id>_meta.json for transparency.  Every recipe except
+fig4 is a table of sweep columns evaluated by sweep._column_outputs.  All
+outputs are deterministic for a given sample count, independent of the worker
+count.
 """
 
 from __future__ import annotations
@@ -11,26 +13,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
 
-from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams
-from gpdiag.gp import (
-    PathSpec,
-    UndefinedPhaseError,
-    fix_global_phase,
-    gp_curve,
-    gp_derivative,
-    pancharatnam_phase,
-    sample_path,
-    unwrap_phases,
-)
+from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
+from gpdiag.gp import UndefinedPhaseError, fix_global_phase, gp_derivative, pancharatnam_phase, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
-from gpdiag.photons import atomic_to_photon, concurrence, embed_two_qubit
-from gpdiag.sweep import write_csv
+from gpdiag.photons import atomic_to_photon
+from gpdiag.sweep import _column_outputs, grid_rows, map_columns, write_tables
 
 RECIPE_IDS = ("fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6")
 
@@ -73,13 +65,6 @@ class RecipeResult:
     undefined_points: int = 0
 
 
-def _pmap(fn, payloads, jobs):
-    if jobs > 1 and len(payloads) > 1:
-        with Pool(processes=jobs) as pool:
-            return pool.map(fn, payloads, chunksize=1)
-    return [fn(p) for p in payloads]
-
-
 def _write_meta(out_dir: Path, recipe_id: str, meta: dict) -> Path:
     path = out_dir / f"{recipe_id}_meta.json"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -89,39 +74,25 @@ def _write_meta(out_dir: Path, recipe_id: str, meta: dict) -> Path:
 
 
 def _photon_steady(p: SystemParams):
-    from gpdiag.cascade import steady_state
-
     return atomic_to_photon(steady_state(p))
 
+
+# Each recipe returns (tables, meta): one (file name, header, *grid_rows(...))
+# table per CSV, and the sidecar written as <id>_meta.json.
 
 # ---------------------------------------------------------------------------
 # fig2: steady-state eigenvalues vs two-photon detuning
 
 
-def _fig2_column(payload):
-    tag, o1, o2, gamma2, gamma3, deltas = payload
-    rows = []
-    for d in deltas:
-        g3 = 0.0 if tag == "ii" else gamma3
-        p = SystemParams(o1, o2, d, 0.0, gamma2, g3)
-        try:
-            lam = hermitian_eig(_photon_steady(p)).eigenvalues[::-1]
-            rows.append([d, float(lam[0]), float(lam[1]), float(lam[2])])
-        except (DegenerateSteadyStateError, NoSteadyStateError):
-            rows.append([d, None, None, None])
-    return rows
-
-
-def _run_fig2(out_dir, samples, jobs, gamma2, gamma3):
+def _run_fig2(samples, jobs, gamma2, gamma3):
     deltas = np.linspace(*_FIG2_DELTA, samples)
-    payloads = [(tag, o1, o2, gamma2, gamma3, deltas) for tag, o1, o2 in _FIG2_COMBOS]
-    results = _pmap(_fig2_column, payloads, jobs)
-    result = RecipeResult()
-    for (tag, o1, o2), rows in zip(_FIG2_COMBOS, results):
-        path = out_dir / f"fig2_{tag}_{o1:g}_{o2:g}.csv"
-        write_csv(path, ["delta", "lambda1", "lambda2", "lambda3"], rows)
-        result.files.append(path)
-        result.undefined_points += sum(1 for r in rows if r[1] is None)
+    payloads = [(SystemParams(o1, o2, 0.0, 0.0, gamma2, 0.0 if tag == "ii" else gamma3),
+                 "delta1", deltas, ("eigenvalues",))
+                for tag, o1, o2 in _FIG2_COMBOS]
+    columns = map_columns(_column_outputs, payloads, jobs)
+    tables = [(f"fig2_{tag}_{o1:g}_{o2:g}.csv", ["delta", "lambda1", "lambda2", "lambda3"],
+               *grid_rows(deltas, [None], [column]))
+              for (tag, o1, o2), column in zip(_FIG2_COMBOS, columns)]
     meta = {
         "recipe": "fig2",
         "delta_range": list(_FIG2_DELTA),
@@ -131,43 +102,22 @@ def _run_fig2(out_dir, samples, jobs, gamma2, gamma3):
         "gamma2": gamma2,
         "gamma3_scheme_i": gamma3,
     }
-    result.files.append(_write_meta(out_dir, "fig2", meta))
-    return result
+    return tables, meta
 
 
 # ---------------------------------------------------------------------------
 # fig3: concurrence over (two-photon detuning, omega1 - omega2)
 
 
-def _fig3_column(payload):
-    dom, scheme, gamma2, gamma3, deltas = payload
-    o1 = _FIG3_OMEGA2 + dom
-    g3 = 0.0 if scheme == "II" else gamma3
-    out = []
-    for d in deltas:
-        p = SystemParams(o1, _FIG3_OMEGA2, d, 0.0, gamma2, g3)
-        try:
-            out.append(concurrence(embed_two_qubit(_photon_steady(p))))
-        except (DegenerateSteadyStateError, NoSteadyStateError):
-            out.append(None)
-    return out
-
-
-def _run_fig3(recipe_id, out_dir, samples, jobs, gamma2, gamma3):
+def _run_fig3(recipe_id, samples, jobs, gamma2, gamma3):
     scheme = "II" if recipe_id == "fig3a" else "I"
+    g3 = 0.0 if scheme == "II" else gamma3
     deltas = np.linspace(*_FIG3_DELTA, samples)
     doms = np.linspace(*_FIG3_DOMEGA, samples)
-    payloads = [(dom, scheme, gamma2, gamma3, deltas) for dom in doms]
-    columns = _pmap(_fig3_column, payloads, jobs)
-    rows = []
-    undefined = 0
-    for i, d in enumerate(deltas):
-        for j, dom in enumerate(doms):
-            value = columns[j][i]
-            undefined += value is None
-            rows.append([float(d), float(dom), value])
-    path = out_dir / f"{recipe_id}.csv"
-    write_csv(path, ["delta", "omega1_minus_omega2", "concurrence"], rows)
+    payloads = [(SystemParams(_FIG3_OMEGA2 + dom, _FIG3_OMEGA2, 0.0, 0.0, gamma2, g3),
+                 "delta1", deltas, ("concurrence",))
+                for dom in doms]
+    table = grid_rows(deltas, doms, map_columns(_column_outputs, payloads, jobs))
     meta = {
         "recipe": recipe_id,
         "scheme": scheme,
@@ -177,29 +127,26 @@ def _run_fig3(recipe_id, out_dir, samples, jobs, gamma2, gamma3):
         "omega2": _FIG3_OMEGA2,
         "samples_per_axis": samples,
         "gamma2": gamma2,
-        "gamma3": 0.0 if scheme == "II" else gamma3,
+        "gamma3": g3,
     }
-    result = RecipeResult([path, _write_meta(out_dir, recipe_id, meta)], undefined)
-    return result
+    return [(f"{recipe_id}.csv", ["delta", "omega1_minus_omega2", "concurrence"], *table)], meta
 
 
 # ---------------------------------------------------------------------------
 # fig4: derivative of the near-resonance phase over (delta offset, dX offset)
 
 
-def _fig4_ideal_column(payload):
-    x0, dx, gamma2, deltas = payload
+def _fig4_ideal_column(x0, dx, gamma2, deltas):
     g21 = gamma2 * math.cos(x0) / (2.0 * _FIG4_OMEGA2)
     gammas = unwrap_phases([taylor_gp(x0, d, dx, g21) for d in deltas])
     deriv = gp_derivative(list(zip(deltas.tolist(), gammas)))
-    return [v for _, v in deriv]
+    return [[v] for _, v in deriv]
 
 
-def _fig4_numeric_column(payload):
-    x0, dx, gamma2, gamma3, deltas, ref = payload
+def _fig4_numeric_column(x0, dx, gamma2, gamma3, deltas, ref):
     x = x0 + dx
     if x < 0.0 or x >= math.pi / 2.0 - 1e-12:
-        return [None] * len(deltas)
+        return [[None]] * len(deltas)
     o1 = math.tan(x) * _FIG4_OMEGA2
     w = math.hypot(o1, _FIG4_OMEGA2)
     gammas = []
@@ -212,20 +159,20 @@ def _fig4_numeric_column(payload):
         except (DegenerateSteadyStateError, NoSteadyStateError, UndefinedPhaseError):
             gammas.append(None)
     if any(g is None for g in gammas):
-        return [None] * len(deltas)
+        return [[None]] * len(deltas)
     gammas = unwrap_phases(gammas)
     deriv = gp_derivative(list(zip(deltas.tolist(), gammas)))
-    return [v for _, v in deriv]
+    return [[v] for _, v in deriv]
 
 
-def _run_fig4(out_dir, samples, jobs, gamma2, gamma3):
+def _run_fig4(samples, jobs, gamma2, gamma3):
     deltas = np.linspace(*_FIG4_DELTA, samples)
     dxs = np.linspace(*_FIG4_DX, _FIG4_DX_SAMPLES)
-    result = RecipeResult()
+    tables = []
     for window, x0 in _FIG4_WINDOWS:
         surfaces = {}
         payloads = [(x0, dx, gamma2, deltas) for dx in dxs]
-        surfaces["ideal"] = _pmap(_fig4_ideal_column, payloads, jobs)
+        surfaces["ideal"] = map_columns(_fig4_ideal_column, payloads, jobs)
         for variant, g3 in (("scheme2", 0.0), ("scheme1", gamma3)):
             o1_base = math.tan(x0) * _FIG4_OMEGA2
             base = SystemParams(o1_base, _FIG4_OMEGA2, 0.0, 0.0, gamma2, g3)
@@ -233,17 +180,10 @@ def _run_fig4(out_dir, samples, jobs, gamma2, gamma3):
                 hermitian_eig(_photon_steady(base)).eigenvectors[:, -1], pivot=0
             )
             payloads = [(x0, dx, gamma2, g3, deltas, ref) for dx in dxs]
-            surfaces[variant] = _pmap(_fig4_numeric_column, payloads, jobs)
+            surfaces[variant] = map_columns(_fig4_numeric_column, payloads, jobs)
         for variant, columns in surfaces.items():
-            rows = []
-            for i, d in enumerate(deltas):
-                for j, dx in enumerate(dxs):
-                    value = columns[j][i]
-                    result.undefined_points += value is None
-                    rows.append([float(d), float(dx), value])
-            path = out_dir / f"fig4_{window}_{variant}.csv"
-            write_csv(path, ["delta_offset", "dX", "dgamma_dDelta"], rows)
-            result.files.append(path)
+            tables.append((f"fig4_{window}_{variant}.csv", ["delta_offset", "dX", "dgamma_dDelta"],
+                           *grid_rows(deltas, dxs, columns)))
     meta = {
         "recipe": "fig4",
         "windows": {w: x0 for w, x0 in _FIG4_WINDOWS},
@@ -262,35 +202,20 @@ def _run_fig4(out_dir, samples, jobs, gamma2, gamma3):
         },
         "note": "dgamma_dDelta is d(phase)/d(delta_bar) along the delta axis at fixed dX",
     }
-    result.files.append(_write_meta(out_dir, "fig4", meta))
-    return result
+    return tables, meta
 
 
 # ---------------------------------------------------------------------------
 # fig5: gamma_g and its derivative along delta1
 
 
-def _fig5_curve(payload):
-    tag, o1, o2, d2, gamma2, gamma3, samples = payload
-    base = SystemParams(o1, o2, 0.0, d2, gamma2, gamma3)
-    spec = PathSpec(base, "delta1", *_FIG5_DELTA1, samples)
-    curve = gp_curve(spec)
-    if any(g is None for _, g in curve):
-        deriv = [None] * len(curve)
-    else:
-        deriv = [v for _, v in gp_derivative(curve)]
-    return [[s, g, dv] for (s, g), dv in zip(curve, deriv)]
-
-
-def _run_fig5(out_dir, samples, jobs, gamma2, gamma3):
-    payloads = [(tag, o1, o2, d2, gamma2, gamma3, samples) for tag, o1, o2, d2 in _FIG5_SETS]
-    results = _pmap(_fig5_curve, payloads, jobs)
-    result = RecipeResult()
-    for (tag, o1, o2, d2), rows in zip(_FIG5_SETS, results):
-        path = out_dir / f"fig5_{tag}.csv"
-        write_csv(path, ["delta1", "gamma_g", "dgamma"], rows)
-        result.files.append(path)
-        result.undefined_points += sum(1 for r in rows if r[1] is None or r[2] is None)
+def _run_fig5(samples, jobs, gamma2, gamma3):
+    deltas = np.linspace(*_FIG5_DELTA1, samples)
+    payloads = [(SystemParams(o1, o2, 0.0, d2, gamma2, gamma3), "delta1", deltas, ("gamma_g", "dgamma"))
+                for _, o1, o2, d2 in _FIG5_SETS]
+    columns = map_columns(_column_outputs, payloads, jobs)
+    tables = [(f"fig5_{tag}.csv", ["delta1", "gamma_g", "dgamma"], *grid_rows(deltas, [None], [column]))
+              for (tag, *_), column in zip(_FIG5_SETS, columns)]
     meta = {
         "recipe": "fig5",
         "scheme": "I",
@@ -302,47 +227,29 @@ def _run_fig5(out_dir, samples, jobs, gamma2, gamma3):
         "gamma3": gamma3,
         "anchor": "gamma_g = 0 at delta1 = -3",
     }
-    result.files.append(_write_meta(out_dir, "fig5", meta))
-    return result
+    return tables, meta
 
 
 # ---------------------------------------------------------------------------
 # fig6: stability of the full-sweep gamma_g under parameter fluctuations
 
 
-def _fig6_cell(payload):
-    dom, dfl, gamma2, gamma3, samples = payload
-    base = SystemParams(_FIG6_OMEGA2 + dom, _FIG6_OMEGA2, 0.0, dfl, gamma2, gamma3)
-    spec = PathSpec(base, "delta1", *_FIG5_DELTA1, samples)
-    try:
-        curve = gp_curve(spec)
-    except (DegenerateSteadyStateError, NoSteadyStateError, UndefinedPhaseError):
-        return None
-    g = curve[-1][1]
-    return g
-
-
-def _run_fig6(out_dir, samples, jobs, gamma2, gamma3):
+def _run_fig6(samples, jobs, gamma2, gamma3):
     doms = np.linspace(*_FIG6_OMFLUCT, _FIG6_GRID)
     dfls = np.linspace(*_FIG6_DFLUCT, _FIG6_GRID)
-    payloads = [(dom, dfl, gamma2, gamma3, samples) for dom in doms for dfl in dfls]
-    cells = _pmap(_fig6_cell, payloads, jobs)
-    grid = {}
-    for (dom, dfl, *_), g in zip(payloads, cells):
-        grid[(dom, dfl)] = g
-    base = grid[(0.0, 0.0)]
+    deltas = np.linspace(*_FIG5_DELTA1, samples)
+    payloads = [(SystemParams(_FIG6_OMEGA2 + dom, _FIG6_OMEGA2, 0.0, dfl, gamma2, gamma3),
+                 "delta1", deltas, ("gamma_g",))
+                for dom in doms for dfl in dfls]
+    # a cell is the endpoint gamma_g of its delta1 column; cells[i_dom][i_dfl]
+    ends = [column[-1][0] for column in map_columns(_column_outputs, payloads, jobs)]
+    cells = [ends[i:i + _FIG6_GRID] for i in range(0, len(ends), _FIG6_GRID)]
+    base = cells[_FIG6_GRID // 2][_FIG6_GRID // 2]  # the unperturbed reference at (0, 0)
     if base is None or abs(base) < 1e-12:
         raise NoSteadyStateError("fig6 reference sweep produced no usable gamma_g")
-    rows = []
-    undefined = 0
-    for dfl in dfls:
-        for dom in doms:
-            g = grid[(dom, dfl)]
-            pct = None if g is None else (g - base) / abs(base) * 100.0
-            undefined += pct is None
-            rows.append([float(dfl), float(dom), pct])
-    path = out_dir / "fig6.csv"
-    write_csv(path, ["delta", "omega1_minus_omega2", "gamma_g_change_percent"], rows)
+    columns = [[[None if g is None else (g - base) / abs(base) * 100.0] for g in column]
+               for column in cells]
+    table = grid_rows(dfls, doms, columns)
     meta = {
         "recipe": "fig6",
         "cell": "percent change of the endpoint gamma_g of the delta1 in [-3, 3] sweep "
@@ -356,25 +263,25 @@ def _run_fig6(out_dir, samples, jobs, gamma2, gamma3):
         "gamma3": gamma3,
         "reference_gamma_g": base,
     }
-    result = RecipeResult([path, _write_meta(out_dir, "fig6", meta)], undefined)
-    return result
+    return [("fig6.csv", ["delta", "omega1_minus_omega2", "gamma_g_change_percent"], *table)], meta
 
 
 def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
                gamma2: float = DEFAULT_GAMMA2, gamma3: float = DEFAULT_GAMMA3_REAL) -> RecipeResult:
-    """Execute a figure recipe; returns the written files and undefined-point count."""
+    """Execute a figure recipe; returns the written files and undefined-point count.
+
+    Raises NoSteadyStateError when no point of the recipe produced a value.
+    """
     if recipe_id not in RECIPE_IDS:
         raise ValueError(f"unknown recipe {recipe_id!r}; expected one of {RECIPE_IDS}")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if recipe_id == "fig2":
-        return _run_fig2(out_dir, samples, jobs, gamma2, gamma3)
     if recipe_id in ("fig3a", "fig3b"):
-        return _run_fig3(recipe_id, out_dir, samples, jobs, gamma2, gamma3)
-    if recipe_id == "fig4":
-        return _run_fig4(out_dir, samples, jobs, gamma2, gamma3)
-    if recipe_id == "fig5":
-        return _run_fig5(out_dir, samples, jobs, gamma2, gamma3)
-    return _run_fig6(out_dir, samples, jobs, gamma2, gamma3)
+        tables, meta = _run_fig3(recipe_id, samples, jobs, gamma2, gamma3)
+    else:
+        run = {"fig2": _run_fig2, "fig4": _run_fig4, "fig5": _run_fig5, "fig6": _run_fig6}[recipe_id]
+        tables, meta = run(samples, jobs, gamma2, gamma3)
+    files, undefined = write_tables(out_dir, tables, "recipe")
+    return RecipeResult(files + [_write_meta(out_dir, recipe_id, meta)], undefined)

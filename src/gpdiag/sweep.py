@@ -183,37 +183,43 @@ def write_csv(path: Path, header, rows) -> None:
             handle.write(",".join(format_field(v) for v in row) + "\n")
 
 
-def _column_outputs(spec: SweepSpec, axis2_value):
-    """Evaluate one axis1 column at a fixed axis2 value (None for 1-D sweeps).
+def map_columns(fn, payloads, jobs):
+    """fn(*payload) for every payload, in payload order.
 
-    Returns cells, one dict per axis1 sample mapping output columns to values
-    (None = undefined).  gamma_g/dgamma are evaluated along axis1.
+    With jobs > 1 the calls are spread over a pool of `jobs` worker
+    processes, one payload at a time, so results never depend on the worker
+    count.
     """
-    base = spec.base
-    if axis2_value is not None:
-        base = base.with_value(spec.axis2.parameter, axis2_value)
-    values = spec.axis1.values()
+    if jobs > 1 and len(payloads) > 1:
+        with Pool(processes=jobs) as pool:
+            return pool.starmap(fn, payloads, chunksize=1)
+    return [fn(*p) for p in payloads]
+
+
+def _column_outputs(base, parameter, values, outputs):
+    """Evaluate `outputs` at every value of `parameter` on the path through `base`.
+
+    Returns one list of fields per value, in the column order of `outputs`
+    (None = undefined).  gamma_g/dgamma are evaluated along the path.
+    """
     states = []
     for v in values:
         try:
-            states.append(atomic_to_photon(steady_state(base.with_value(spec.axis1.parameter, v))))
+            states.append(atomic_to_photon(steady_state(base.with_value(parameter, v))))
         except (DegenerateSteadyStateError, NoSteadyStateError):
             states.append(None)
     cells = [dict() for _ in values]
     for i, rho in enumerate(states):
         if rho is None:
-            for out in spec.outputs:
-                for col in _output_columns(out):
-                    cells[i][col] = None
             continue
-        if "eigenvalues" in spec.outputs:
+        if "eigenvalues" in outputs:
             lam = hermitian_eig(rho).eigenvalues[::-1]
             cells[i]["lambda1"], cells[i]["lambda2"], cells[i]["lambda3"] = map(float, lam)
-        if "purity" in spec.outputs:
+        if "purity" in outputs:
             cells[i]["purity"] = purity(rho)
-        if "concurrence" in spec.outputs:
+        if "concurrence" in outputs:
             cells[i]["concurrence"] = concurrence(embed_two_qubit(rho))
-    if "gamma_g" in spec.outputs or "dgamma" in spec.outputs:
+    if "gamma_g" in outputs or "dgamma" in outputs:
         defined = [i for i, rho in enumerate(states) if rho is not None]
         gammas = [None] * len(values)
         if len(defined) >= 2:
@@ -224,17 +230,15 @@ def _column_outputs(spec: SweepSpec, axis2_value):
                     gammas[i] = g
             except UndefinedPhaseError:
                 pass
-        if "gamma_g" in spec.outputs:
+        if "gamma_g" in outputs:
             for i, g in enumerate(gammas):
                 cells[i]["gamma_g"] = g
-        if "dgamma" in spec.outputs:
-            dg = [None] * len(values)
-            if all(g is not None for g in gammas):
-                deriv = gp_derivative(list(zip(values.tolist(), gammas)))
-                dg = [d for _, d in deriv]
-            for i, d in enumerate(dg):
+        if "dgamma" in outputs and all(g is not None for g in gammas):
+            deriv = gp_derivative(list(zip(values.tolist(), gammas)))
+            for i, (_, d) in enumerate(deriv):
                 cells[i]["dgamma"] = d
-    return cells
+    columns = [col for out in outputs for col in _output_columns(out)]
+    return [[cell.get(col) for col in columns] for cell in cells]
 
 
 def _output_columns(output: str):
@@ -243,9 +247,36 @@ def _output_columns(output: str):
     return (output,)
 
 
-def _worker(payload):
-    spec, axis2_value = payload
-    return _column_outputs(spec, axis2_value)
+def grid_rows(axis1_values, axis2_values, columns):
+    """Rows of a table whose columns[i2][i1] is the list of fields at one point.
+
+    Rows run axis1-major, axis2-minor; axis2_values is [None] for a table of
+    one column.  Returns (rows, undefined, defined): the rows and the counts
+    of points with at least one empty field and with at least one value.
+    """
+    rows, undefined, defined = [], 0, 0
+    for i1, v1 in enumerate(axis1_values):
+        for i2, v2 in enumerate(axis2_values):
+            fields = columns[i2][i1]
+            undefined += any(v is None for v in fields)
+            defined += any(v is not None for v in fields)
+            rows.append([float(v1)] + ([] if v2 is None else [float(v2)]) + fields)
+    return rows, undefined, defined
+
+
+def write_tables(out_dir: Path, tables, source: str):
+    """Write (file name, header, rows, undefined, defined) tables into out_dir.
+
+    Returns (paths, undefined point count).  Raises NoSteadyStateError, and
+    writes nothing, when no point of any table produced a value.
+    """
+    if not any(defined for *_, defined in tables):
+        raise NoSteadyStateError(f"no sample point of the {source} produced a value")
+    paths = []
+    for name, header, rows, _, _ in tables:
+        paths.append(out_dir / name)
+        write_csv(paths[-1], header, rows)
+    return paths, sum(undefined for *_, undefined, _ in tables)
 
 
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1):
@@ -256,40 +287,17 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1):
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    axis1_values = spec.axis1.values()
     axis2_values = [None] if spec.axis2 is None else list(spec.axis2.values())
-    payloads = [(spec, v) for v in axis2_values]
-    if jobs > 1 and len(payloads) > 1:
-        with Pool(processes=jobs) as pool:
-            results = pool.map(_worker, payloads, chunksize=1)
-    else:
-        results = [_worker(p) for p in payloads]
-
+    payloads = [(spec.base if v is None else spec.base.with_value(spec.axis2.parameter, v),
+                 spec.axis1.parameter, axis1_values, spec.outputs)
+                for v in axis2_values]
+    columns = map_columns(_column_outputs, payloads, jobs)
     header = [spec.axis1.parameter]
     if spec.axis2 is not None:
         header.append(spec.axis2.parameter)
     for out in spec.outputs:
         header.extend(_output_columns(out))
-    value_cols = header[1 if spec.axis2 is None else 2:]
-
-    axis1_values = spec.axis1.values()
-    rows = []
-    undefined = 0
-    all_failed = True
-    for i1, v1 in enumerate(axis1_values):
-        for i2, v2 in enumerate(axis2_values):
-            cells = results[i2][i1]
-            row = [float(v1)]
-            if spec.axis2 is not None:
-                row.append(float(v2))
-            point_values = [cells.get(col) for col in value_cols]
-            row.extend(point_values)
-            if any(v is None for v in point_values):
-                undefined += 1
-            if any(v is not None for v in point_values):
-                all_failed = False
-            rows.append(row)
-    if all_failed:
-        raise NoSteadyStateError("no sample point of the sweep produced a value")
-    path = out_dir / spec.path
-    write_csv(path, header, rows)
-    return path, undefined
+    table = grid_rows(axis1_values, axis2_values, columns)
+    paths, undefined = write_tables(out_dir, [(spec.path, header, *table)], "sweep")
+    return paths[0], undefined

@@ -40,6 +40,22 @@ class TestUsageErrors:
     def test_unknown_recipe_id(self, capsys):
         assert run_cli(["recipe", "fig9"]) == 1
 
+    def test_too_few_samples(self, capsys):
+        assert run_cli(["recipe", "fig2", "--samples", "1"]) == 1
+        assert "--samples" in capsys.readouterr().err
+
+    def test_negative_drive(self, capsys):
+        assert run_cli(["steady", "--omega1", "-1", "--omega2", "6"]) == 1
+        assert "--omega1" in capsys.readouterr().err
+
+    def test_nan_drive(self, capsys):
+        assert run_cli(["steady", "--omega1", "nan", "--omega2", "6"]) == 1
+        assert "--omega1" in capsys.readouterr().err
+
+    def test_negative_decay_rate(self, capsys):
+        assert run_cli(["recipe", "fig2", "--gamma2", "-1"]) == 1
+        assert "--gamma2" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -108,6 +124,12 @@ class TestRecipeCommand:
                         "--jobs", "1"])
         assert code == 1
         assert "i/o error" in capsys.readouterr().err
+
+    def test_no_value_exit_code(self, tmp_path, capsys):
+        code = run_cli(["recipe", "fig3a", "--out", str(tmp_path), "--samples", "3",
+                        "--jobs", "1", "--gamma2", "0", "--gamma3", "0"])
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_small_recipe_run(self, tmp_path, capsys):
         code = run_cli(["recipe", "fig2", "--out", str(tmp_path), "--samples", "5",

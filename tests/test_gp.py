@@ -174,6 +174,13 @@ class TestGpCurve:
         pair = mixed_state_gp(track_spectrum(sample_path(spec)))
         assert abs(curve[1][1] - pair.gamma_g) <= 1e-12
 
+    def test_multi_point_curve_ends_at_mixed_state_gp(self):
+        # the fig5 ab path: the curve's last point is the phase of the whole path
+        spec = PathSpec(BELL, "delta1", -3.0, 3.0, 601)
+        end = gp_curve(spec)[-1][1]
+        full = mixed_state_gp(track_spectrum(sample_path(spec))).gamma_g
+        assert abs(math.remainder(end - full, 2 * math.pi)) <= 1e-12
+
     def test_anchor_is_exactly_zero(self):
         curve = gp_curve(PathSpec(BELL, "delta1", -3.0, 3.0, 51))
         assert curve[0][1] == 0.0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gpdiag.linops import NoSteadyStateError
 from gpdiag.recipes import RECIPE_IDS, run_recipe
 
 
@@ -28,6 +29,13 @@ def fig2_dir(tmp_path_factory):
 def test_unknown_recipe_rejected(tmp_path):
     with pytest.raises(ValueError):
         run_recipe("fig7", tmp_path)
+
+
+@pytest.mark.parametrize("recipe_id", ["fig2", "fig3a"])
+def test_no_value_anywhere_raises(tmp_path, recipe_id):
+    # with no decay the steady state is degenerate at every point
+    with pytest.raises(NoSteadyStateError):
+        run_recipe(recipe_id, tmp_path, samples=3, jobs=1, gamma2=0.0, gamma3=0.0)
 
 
 class TestFig2(object):
