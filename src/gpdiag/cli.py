@@ -23,7 +23,7 @@ from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams, st
 from gpdiag.gp import UndefinedPhaseError
 from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, embed_two_qubit, purity
-from gpdiag.recipes import RECIPE_IDS, run_recipe
+from gpdiag.recipes import MIN_SAMPLES, RECIPE_IDS, run_recipe
 from gpdiag.sweep import ConfigError, parse_config, run_sweep
 
 
@@ -92,6 +92,10 @@ def _add_common(sub, flag_defaults: bool = True):
 
 
 def _cmd_recipe(args) -> int:
+    need = MIN_SAMPLES[args.id]
+    if args.samples < need:
+        print(f"gpdiag recipe: error: argument --samples: {args.id} needs an integer >= {need}", file=sys.stderr)
+        return 1
     result = run_recipe(args.id, args.out, samples=args.samples, jobs=args.jobs,
                         gamma2=args.gamma2, gamma3=args.gamma3)
     for path in result.files:

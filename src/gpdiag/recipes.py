@@ -24,7 +24,10 @@ from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermit
 from gpdiag.photons import atomic_to_photon
 from gpdiag.sweep import _column_outputs, grid_rows, map_columns, write_tables
 
-RECIPE_IDS = ("fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6")
+# fewest samples per axis of each recipe; fig4 and fig5 differentiate along it,
+# which takes 3 points
+MIN_SAMPLES = {"fig2": 2, "fig3a": 2, "fig3b": 2, "fig4": 3, "fig5": 3, "fig6": 2}
+RECIPE_IDS = tuple(MIN_SAMPLES)
 
 # eigenvalue curves: (scheme tag, omega1, omega2)
 _FIG2_COMBOS = (("ii", 6.0, 6.0), ("i", 6.0, 6.0), ("ii", 3.0, 6.0), ("i", 3.0, 6.0))
@@ -71,10 +74,6 @@ def _write_meta(out_dir: Path, recipe_id: str, meta: dict) -> Path:
         json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def _photon_steady(p: SystemParams):
-    return atomic_to_photon(steady_state(p))
 
 
 # Each recipe returns (tables, meta): one (file name, header, *grid_rows(...))
@@ -143,6 +142,12 @@ def _fig4_ideal_column(x0, dx, gamma2, deltas):
     return [[v] for _, v in deriv]
 
 
+def _fig4_dominant_vector(p: SystemParams) -> np.ndarray:
+    """Dominant eigenvector of the photon steady state, in the |00>-component gauge."""
+    rho = atomic_to_photon(steady_state(p))
+    return fix_global_phase(hermitian_eig(rho).eigenvectors[:, -1], pivot=0)
+
+
 def _fig4_numeric_column(x0, dx, gamma2, gamma3, deltas, ref):
     x = x0 + dx
     if x < 0.0 or x >= math.pi / 2.0 - 1e-12:
@@ -153,9 +158,7 @@ def _fig4_numeric_column(x0, dx, gamma2, gamma3, deltas, ref):
     for d in deltas:
         p = SystemParams(o1, _FIG4_OMEGA2, d * w, 0.0, gamma2, gamma3)
         try:
-            rho = _photon_steady(p)
-            vec = hermitian_eig(rho).eigenvectors[:, -1]
-            gammas.append(pancharatnam_phase(ref, fix_global_phase(vec, pivot=0)))
+            gammas.append(pancharatnam_phase(ref, _fig4_dominant_vector(p)))
         except (DegenerateSteadyStateError, NoSteadyStateError, UndefinedPhaseError):
             gammas.append(None)
     if any(g is None for g in gammas):
@@ -170,15 +173,11 @@ def _run_fig4(samples, jobs, gamma2, gamma3):
     dxs = np.linspace(*_FIG4_DX, _FIG4_DX_SAMPLES)
     tables = []
     for window, x0 in _FIG4_WINDOWS:
-        surfaces = {}
         payloads = [(x0, dx, gamma2, deltas) for dx in dxs]
-        surfaces["ideal"] = map_columns(_fig4_ideal_column, payloads, jobs)
+        surfaces = {"ideal": map_columns(_fig4_ideal_column, payloads, jobs)}
         for variant, g3 in (("scheme2", 0.0), ("scheme1", gamma3)):
-            o1_base = math.tan(x0) * _FIG4_OMEGA2
-            base = SystemParams(o1_base, _FIG4_OMEGA2, 0.0, 0.0, gamma2, g3)
-            ref = fix_global_phase(
-                hermitian_eig(_photon_steady(base)).eigenvectors[:, -1], pivot=0
-            )
+            base = SystemParams(math.tan(x0) * _FIG4_OMEGA2, _FIG4_OMEGA2, 0.0, 0.0, gamma2, g3)
+            ref = _fig4_dominant_vector(base)
             payloads = [(x0, dx, gamma2, g3, deltas, ref) for dx in dxs]
             surfaces[variant] = map_columns(_fig4_numeric_column, payloads, jobs)
         for variant, columns in surfaces.items():
@@ -274,8 +273,8 @@ def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
     """
     if recipe_id not in RECIPE_IDS:
         raise ValueError(f"unknown recipe {recipe_id!r}; expected one of {RECIPE_IDS}")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    if samples < MIN_SAMPLES[recipe_id]:
+        raise ValueError(f"{recipe_id} needs samples >= {MIN_SAMPLES[recipe_id]}, got {samples}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if recipe_id in ("fig3a", "fig3b"):

@@ -74,6 +74,8 @@ class SweepSpec:
                 raise ConfigError(f"unknown output {out!r}")
         if self.axis2 is not None and self.axis2.parameter == self.axis1.parameter:
             raise ConfigError("axis1 and axis2 must sweep different parameters")
+        if "dgamma" in self.outputs and self.axis1.samples < 3:
+            raise ConfigError(f"output dgamma needs axis1 samples >= 3, got {self.axis1.samples}")
 
 
 def _default_base(scheme: str) -> SystemParams:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, random_params
-from gpdiag.cascade import SystemParams, build_hamiltonian, evolve, lindblad_rhs, liouvillian, steady_state
-from gpdiag.linops import DegenerateSteadyStateError, hermitian_eig, vec
+from gpdiag.cascade import (SystemParams, _max_stable_dt, _rk4_step_matrix, build_hamiltonian, evolve,
+                            lindblad_rhs, liouvillian, steady_state)
+from gpdiag.linops import DegenerateSteadyStateError, hermitian_eig, unvec, vec
 
 
 def ket(i):
@@ -95,6 +98,33 @@ class TestLiouvillian:
         ell = liouvillian(p)
         row = vec(np.eye(3)).conj() @ ell
         assert np.max(np.abs(row)) <= 1e-12
+
+
+def _edge_or(lo, hi):
+    """A value in [lo, hi], drawn with a fair chance of the box edge 0."""
+    return st.one_of(st.just(0.0), st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+_box_params = st.builds(SystemParams, omega1=_edge_or(0.0, 6.0), omega2=_edge_or(0.0, 6.0),
+                        delta1=_edge_or(-6.0, 6.0), delta2=_edge_or(-6.0, 6.0),
+                        gamma2=_edge_or(0.0, 6.0), gamma3=_edge_or(0.0, 6.0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=_box_params, seed=st.integers(0, 2**32 - 1), dt_fraction=st.floats(0.01, 1.0))
+def test_generator_on_parameter_box(p, seed, dt_fraction):
+    """liouvillian() against the matrix-form oracle, and the RK4 step built from it,
+    over the box including undriven points and vanishing decay rates."""
+    ell = liouvillian(p)
+    rho = random_density(np.random.default_rng(seed), 3)
+    scale = max(1.0, p.omega1, p.omega2, abs(p.delta1), abs(p.delta2), p.gamma2, p.gamma3)
+    assert np.max(np.abs(unvec(ell @ vec(rho), 3) - lindblad_rhs(p, rho))) <= 1e-12 * scale
+    assert np.max(np.abs(vec(np.eye(3)).conj() @ ell)) <= 1e-12 * scale
+
+    dt = dt_fraction * _max_stable_dt(p)
+    a = dt * ell
+    taylor = np.eye(9) + a + a @ a / 2 + a @ a @ a / 6 + a @ a @ a @ a / 24
+    assert np.max(np.abs(_rk4_step_matrix(p, dt) - taylor)) <= 1e-12
 
 
 class TestSteadyState:

@@ -56,6 +56,16 @@ class TestUsageErrors:
         assert run_cli(["recipe", "fig2", "--gamma2", "-1"]) == 1
         assert "--gamma2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("recipe_id", ["fig4", "fig5"])
+    def test_derivative_recipe_two_samples(self, recipe_id, tmp_path, capsys):
+        code = run_cli(["recipe", recipe_id, "--samples", "2", "--out", str(tmp_path),
+                        "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("gpdiag recipe: error: argument --samples:")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -89,6 +99,28 @@ samples = 5
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["sweep", "--config", str(tmp_path / "nope.ini")]) == 1
+
+    @pytest.mark.parametrize("config_samples, flags", [(2, []), (9, ["--samples", "2"])],
+                             ids=["config", "override"])
+    def test_dgamma_needs_three_samples(self, config_samples, flags, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(f"""\
+[sweep]
+scheme = I
+outputs = gamma_g, dgamma
+path = out.csv
+
+[axis1]
+parameter = delta1
+start = -1
+stop = 1
+samples = {config_samples}
+""")
+        code = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path),
+                        "--jobs", "1", *flags])
+        assert code == 1
+        assert "config error: output dgamma needs axis1 samples >= 3" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         config = tmp_path / "sweep.ini"

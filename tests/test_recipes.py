@@ -31,6 +31,13 @@ def test_unknown_recipe_rejected(tmp_path):
         run_recipe("fig7", tmp_path)
 
 
+@pytest.mark.parametrize("recipe_id", ["fig4", "fig5"])
+def test_derivative_recipe_needs_three_samples(tmp_path, recipe_id):
+    with pytest.raises(ValueError, match=f"{recipe_id} needs samples >= 3"):
+        run_recipe(recipe_id, tmp_path, samples=2, jobs=1)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("recipe_id", ["fig2", "fig3a"])
 def test_no_value_anywhere_raises(tmp_path, recipe_id):
     # with no decay the steady state is degenerate at every point
