@@ -50,6 +50,7 @@ def _checked(convert, ok, expected: str):
 _finite = _checked(float, math.isfinite, "a finite number")
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _samples = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_jobs = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _build_parser() -> _Parser:
@@ -82,8 +83,8 @@ def _add_common(sub, flag_defaults: bool = True):
     sub.add_argument("--out", default="./out", help="output directory (default ./out)")
     sub.add_argument("--samples", type=_samples, default=601 if flag_defaults else None,
                      help="samples per axis (default 601)")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="worker processes (default: number of processors)")
+    sub.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
+                     help="worker processes, at most one per column (default: number of processors)")
     sub.add_argument("--gamma2", type=_non_negative,
                      default=DEFAULT_GAMMA2 if flag_defaults else None)
     sub.add_argument("--gamma3", type=_non_negative,

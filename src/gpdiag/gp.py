@@ -25,6 +25,7 @@ from gpdiag.photons import atomic_to_photon
 
 EPS_VIS = 1e-9
 EPS_LAMBDA = 1e-10
+GAUGE_TOL = 1e-8
 _AMBIGUITY_TOL = 1e-6
 
 SWEEPABLE = ("delta1", "delta2", "omega1", "omega2")
@@ -142,14 +143,14 @@ def _greedy_match(overlaps: np.ndarray):
     return perm, ambiguous
 
 
-def track_spectrum(states, eps_lambda: float = EPS_LAMBDA) -> SpectralTrajectory:
+def track_spectrum(states) -> SpectralTrajectory:
     """Eigen-decompose each state and continue the branches along the path.
 
     Branches are matched between consecutive points by the greedy assignment
     on the overlap-magnitude matrix, so a branch follows its eigenvector
-    through eigenvalue crossings.  Branches whose eigenvalue drops below
-    eps_lambda at either endpoint carry zero weight and ill-defined
-    eigenvectors, and are excluded from kept_branches.
+    through eigenvalue crossings.  A branch whose eigenvalue is below
+    EPS_LAMBDA at either endpoint carries no weight and is left out of
+    kept_branches.  Each state must be Hermitian within HERMITICITY_TOL.
     """
     if len(states) < 2:
         raise ValueError("need at least 2 states to track a spectrum")
@@ -158,7 +159,7 @@ def track_spectrum(states, eps_lambda: float = EPS_LAMBDA) -> SpectralTrajectory
     lam = np.empty((m, n))
     vecs = np.empty((m, n, n), dtype=complex)
     for j, rho in enumerate(states):
-        w, v = hermitian_eig(rho, tol=1e-10)
+        w, v = hermitian_eig(rho)
         lam[j] = w[::-1]
         vecs[j] = v[:, ::-1]
     warning = False
@@ -178,7 +179,7 @@ def track_spectrum(states, eps_lambda: float = EPS_LAMBDA) -> SpectralTrajectory
     if min_overlap < bound:
         warning = True
     kept = tuple(
-        k for k in range(n) if lam[0, k] >= eps_lambda and lam[-1, k] >= eps_lambda
+        k for k in range(n) if lam[0, k] >= EPS_LAMBDA and lam[-1, k] >= EPS_LAMBDA
     )
     return SpectralTrajectory(lam, vecs, kept, warning, min_overlap)
 
@@ -238,14 +239,14 @@ def pancharatnam_phase(psi0: np.ndarray, psi1: np.ndarray) -> float:
     return float(np.angle(ov))
 
 
-def fix_global_phase(psi: np.ndarray, pivot: int | None = None, tol: float = 1e-8) -> np.ndarray:
+def fix_global_phase(psi: np.ndarray, pivot: int = 0) -> np.ndarray:
     """Rotate a state vector so the pivot component is real and nonnegative.
 
-    Defaults to the largest-magnitude component; an explicit pivot falls back
-    to the largest one when its amplitude is below `tol`.
+    The pivot defaults to the first component (the |00> gauge); when its
+    amplitude is at most GAUGE_TOL the largest-magnitude component is used.
     """
     psi = np.asarray(psi, dtype=complex)
-    if pivot is None or abs(psi[pivot]) <= tol:
+    if abs(psi[pivot]) <= GAUGE_TOL:
         pivot = int(np.argmax(np.abs(psi)))
     return psi * (abs(psi[pivot]) / psi[pivot])
 

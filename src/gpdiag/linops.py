@@ -48,16 +48,16 @@ def _as_square_complex(a) -> np.ndarray:
     return a
 
 
-def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> EigenSystem:
+def hermitian_eig(a) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises ContractViolationError if max |A - A^dag| exceeds `tol`.
+    Raises ContractViolationError if max |A - A^dag| exceeds HERMITICITY_TOL.
     Output is deterministic for identical input (LAPACK zheevd order:
     ascending eigenvalues, orthonormal columns).
     """
     a = _as_square_complex(a)
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise ContractViolationError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     return EigenSystem(w, v)
@@ -73,11 +73,11 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(dim, dim)
 
 
-def null_space_unit_trace(ell, eps_rank: float = RANK_EPS) -> np.ndarray:
+def null_space_unit_trace(ell) -> np.ndarray:
     """Unique null vector of a superoperator, returned as a unit-trace Hermitian matrix.
 
     `ell` acts on the row-major vectorization of a dim x dim matrix.  Singular
-    values below eps_rank times the largest one count as zero.  Exactly one
+    values below RANK_EPS times the largest one count as zero.  Exactly one
     zero singular value is required; 0 raises NoSteadyStateError and >= 2
     raises DegenerateSteadyStateError carrying the deficiency count.
     """
@@ -86,7 +86,7 @@ def null_space_unit_trace(ell, eps_rank: float = RANK_EPS) -> np.ndarray:
     if dim * dim != ell.shape[0]:
         raise ContractViolationError(f"superoperator size {ell.shape[0]} is not a perfect square")
     _, s, vh = np.linalg.svd(ell)
-    deficiency = int(np.count_nonzero(s <= eps_rank * s[0]))
+    deficiency = int(np.count_nonzero(s <= RANK_EPS * s[0]))
     if deficiency == 0:
         raise NoSteadyStateError(f"no null vector: smallest singular value {s[-1]:.3e}")
     if deficiency >= 2:

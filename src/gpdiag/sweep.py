@@ -118,8 +118,6 @@ def parse_config(text: str) -> SweepSpec:
         raise ConfigError("missing [axis1] section")
     sweep = parser["sweep"]
     scheme = sweep.get("scheme", "I")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}")
     base = _default_base(scheme)
     for key in ("omega1", "omega2", "delta1", "delta2", "gamma2", "gamma3"):
         if key in sweep:
@@ -188,12 +186,12 @@ def write_csv(path: Path, header, rows) -> None:
 def map_columns(fn, payloads, jobs):
     """fn(*payload) for every payload, in payload order.
 
-    With jobs > 1 the calls are spread over a pool of `jobs` worker
+    With jobs > 1 the calls are spread over min(jobs, len(payloads)) worker
     processes, one payload at a time, so results never depend on the worker
     count.
     """
     if jobs > 1 and len(payloads) > 1:
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=min(jobs, len(payloads))) as pool:
             return pool.starmap(fn, payloads, chunksize=1)
     return [fn(*p) for p in payloads]
 

@@ -3,6 +3,20 @@ import pytest
 from gpdiag.cli import main
 
 
+SWEEP_1D = """\
+[sweep]
+scheme = I
+outputs = purity, gamma_g
+path = out.csv
+
+[axis1]
+parameter = delta1
+start = -1
+stop = 1
+samples = 9
+"""
+
+
 def run_cli(argv):
     try:
         return main(argv)
@@ -56,6 +70,18 @@ class TestUsageErrors:
         assert run_cli(["recipe", "fig2", "--gamma2", "-1"]) == 1
         assert "--gamma2" in capsys.readouterr().err
 
+    def test_non_integer_samples(self, capsys):
+        assert run_cli(["recipe", "fig2", "--samples", "abc"]) == 1
+        assert "'abc' is not an integer >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["recipe", "fig2"], ["sweep", "--config", "sweep.ini"]],
+                             ids=["recipe", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, command, jobs, tmp_path, capsys):
+        assert run_cli([*command, "--jobs", jobs, "--out", str(tmp_path)]) == 1
+        assert f"argument --jobs: {jobs!r} is not an integer >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("recipe_id", ["fig4", "fig5"])
     def test_derivative_recipe_two_samples(self, recipe_id, tmp_path, capsys):
         code = run_cli(["recipe", recipe_id, "--samples", "2", "--out", str(tmp_path),
@@ -96,6 +122,14 @@ samples = 5
         config.write_text("[sweep]\nunknown_key = 1\n")
         assert run_cli(["sweep", "--config", str(config)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_config_error_is_one_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text(SWEEP_1D.replace("scheme = I", "scheme = III"))
+        assert run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "gpdiag: config error: unknown scheme 'III'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["sweep", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -146,6 +180,30 @@ samples = 9
         center = lines[2].split(",")
         assert float(center[0]) == 0.0
         assert abs(float(center[1]) - 1.0) <= 1e-8
+
+    def test_gamma2_flag_matches_config(self, tmp_path, capsys):
+        from_flag, from_config = tmp_path / "flag", tmp_path / "config"
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D)
+        assert run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "default"),
+                        "--jobs", "1"]) == 0
+        assert run_cli(["sweep", "--config", str(config), "--out", str(from_flag),
+                        "--jobs", "1", "--gamma2", "5.5"]) == 0
+        config.write_text(SWEEP_1D.replace("[sweep]", "[sweep]\ngamma2 = 5.5"))
+        assert run_cli(["sweep", "--config", str(config), "--out", str(from_config),
+                        "--jobs", "1"]) == 0
+        capsys.readouterr()
+        flag_bytes = (from_flag / "out.csv").read_bytes()
+        assert flag_bytes == (from_config / "out.csv").read_bytes()
+        assert flag_bytes != (tmp_path / "default" / "out.csv").read_bytes()
+
+    def test_samples_flag_shrinks_both_axes(self, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D + "\n[axis2]\nparameter = omega1\nstart = 2\nstop = 6\nsamples = 5\n")
+        assert run_cli(["sweep", "--config", str(config), "--out", str(tmp_path),
+                        "--jobs", "1", "--samples", "3"]) == 0
+        capsys.readouterr()
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 3
 
 
 class TestRecipeCommand:

@@ -6,10 +6,13 @@ import pytest
 
 from gpdiag.cascade import SystemParams
 from gpdiag.gp import (
+    EPS_LAMBDA,
     EPS_VIS,
+    GAUGE_TOL,
     PathSpec,
     SpectralTrajectory,
     UndefinedPhaseError,
+    fix_global_phase,
     gp_curve,
     gp_curve_from_states,
     gp_derivative,
@@ -110,6 +113,15 @@ class TestTrackSpectrum:
         traj = track_spectrum(states)
         np.testing.assert_allclose(traj.eigenvalues.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("weight, kept", [(0.5 * EPS_LAMBDA, (0,)), (2.0 * EPS_LAMBDA, (0, 1))])
+    def test_weight_threshold(self, weight, kept):
+        states = [np.diag([1.0 - weight, weight, 0.0]).astype(complex)] * 3
+        assert track_spectrum(states).kept_branches == kept
+
+    def test_needs_two_states(self):
+        with pytest.raises(ValueError, match="at least 2 states"):
+            track_spectrum([np.eye(3, dtype=complex) / 3.0])
+
 
 class TestMixedStateGp:
     def test_constant_trajectory_zero_phase(self, rng):
@@ -147,6 +159,13 @@ class TestMixedStateGp:
         with pytest.raises(UndefinedPhaseError):
             mixed_state_gp(track_spectrum(states))
 
+    def test_undefined_without_kept_branch(self):
+        # the weight moves entirely from e0 to e1, so no branch has it at both ends
+        states = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        assert track_spectrum(states).kept_branches == ()
+        with pytest.raises(UndefinedPhaseError, match="no branch carries weight"):
+            mixed_state_gp(track_spectrum(states))
+
 
 class TestPancharatnam:
     def test_identical_states(self):
@@ -164,6 +183,19 @@ class TestPancharatnam:
     def test_normalization_checked(self):
         with pytest.raises(ValueError):
             pancharatnam_phase(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+
+
+class TestFixGlobalPhase:
+    def test_first_component_made_real(self):
+        psi = np.array([0.6j, 0.0, -0.8])
+        np.testing.assert_allclose(fix_global_phase(psi), [0.6, 0.0, 0.8j], atol=1e-15)
+
+    @pytest.mark.parametrize("first, pivot", [(GAUGE_TOL, 2), (2.0 * GAUGE_TOL, 0)])
+    def test_falls_back_to_largest_component(self, first, pivot):
+        psi = np.array([first * 1j, 0.6, 0.8j])
+        out = fix_global_phase(psi)
+        assert out[pivot].imag == 0.0 and out[pivot].real > 0.0
+        np.testing.assert_allclose(np.abs(out), np.abs(psi), atol=1e-15)
 
 
 class TestGpCurve:

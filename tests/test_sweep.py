@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from gpdiag.sweep import AxisSpec, ConfigError, SweepSpec, format_field, parse_config, run_sweep, serialize_config
+import gpdiag.sweep
+from gpdiag.sweep import (
+    AxisSpec, ConfigError, SweepSpec, format_field, map_columns, parse_config, run_sweep, serialize_config,
+)
 
 MINIMAL = """\
 [sweep]
@@ -99,6 +102,21 @@ class TestParseConfig:
                 ("purity",), "x.csv",
             )
 
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL.replace("[sweep]", "[sweep]\nomega1 = six"), "is not a number"),
+        (MINIMAL.replace("[sweep]", "[sweep]\nomega1 = inf"), "must be finite"),
+        ("omega1 = 6\n" + MINIMAL, "content before any section header"),
+        (MINIMAL[MINIMAL.index("[axis1]"):], "missing \\[sweep\\] section"),
+        (MINIMAL.replace("scheme = I", "scheme = III"), "unknown scheme 'III'"),
+        (MINIMAL.replace("stop = 1\n", ""), "missing key 'stop'"),
+        (MINIMAL.replace("samples = 5", "samples = 2.5"), "samples must be an integer"),
+        (MINIMAL.replace("outputs = purity", "outputs ="), "at least one output"),
+    ], ids=["non_numeric", "non_finite", "no_header", "no_sweep", "unknown_scheme",
+            "missing_axis_key", "non_integer_samples", "empty_outputs"])
+    def test_rejected_config(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_round_trip_canonical_and_idempotent(self):
         spec = parse_config(MINIMAL)
         text = serialize_config(spec)
@@ -162,3 +180,26 @@ samples = 61
         assert format_field(None) == ""
         assert format_field(0.5) == "0.5"
         assert len(format_field(1.0 / 3.0).replace("0.", "")) == 12
+
+
+def test_map_columns_starts_at_most_one_worker_per_payload(monkeypatch):
+    opened = []
+
+    class RecordingPool:
+        """Stand-in for multiprocessing.Pool: records its size and runs in-process."""
+
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, payloads, chunksize):
+            return [fn(*p) for p in payloads]
+
+    monkeypatch.setattr(gpdiag.sweep, "Pool", RecordingPool)
+    assert map_columns(pow, [(2, 3), (3, 2)], jobs=8) == [8, 9]
+    assert opened == [2]
