@@ -49,6 +49,8 @@ class SystemParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(self.delta1 + self.delta2):
+            raise ValueError(f"delta1 + delta2 must be finite, got {self.delta1!r} + {self.delta2!r}")
         if self.omega1 < 0 or self.omega2 < 0:
             raise ValueError("Rabi frequencies must be >= 0")
         if self.gamma2 < 0 or self.gamma3 < 0:

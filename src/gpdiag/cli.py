@@ -22,7 +22,7 @@ from pathlib import Path
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
 from gpdiag.gp import UndefinedPhaseError
 from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
-from gpdiag.photons import atomic_to_photon, concurrence, embed_two_qubit, purity
+from gpdiag.photons import atomic_to_photon, concurrence, purity
 from gpdiag.recipes import MIN_SAMPLES, RECIPE_IDS, run_recipe
 from gpdiag.sweep import ConfigError, parse_config, run_sweep
 
@@ -120,11 +120,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _apply_sweep_overrides(spec, args):
-    base = spec.base
-    if args.gamma2 is not None:
-        base = base.with_value("gamma2", args.gamma2)
-    if args.gamma3 is not None:
-        base = base.with_value("gamma3", args.gamma3)
+    rates = {key: getattr(args, key) for key in ("gamma2", "gamma3") if getattr(args, key) is not None}
+    base = dataclasses.replace(spec.base, **rates)
     axis1, axis2 = spec.axis1, spec.axis2
     if args.samples is not None:
         axis1 = dataclasses.replace(axis1, samples=args.samples)
@@ -137,8 +134,11 @@ def _cmd_steady(args) -> int:
     gamma3 = args.gamma3
     if gamma3 is None:
         gamma3 = 0.0 if args.scheme == "II" else DEFAULT_GAMMA3_REAL
-    p = SystemParams(args.omega1, args.omega2, args.delta1, args.delta2,
-                     args.gamma2, gamma3)
+    try:
+        p = SystemParams(args.omega1, args.omega2, args.delta1, args.delta2, args.gamma2, gamma3)
+    except ValueError as err:
+        print(f"gpdiag steady: error: {err}", file=sys.stderr)
+        return 1
     rho = atomic_to_photon(steady_state(p))
     lam = hermitian_eig(rho).eigenvalues[::-1]
     print("two-photon density matrix (basis |00>, |01>, |11>):")
@@ -146,7 +146,7 @@ def _cmd_steady(args) -> int:
         print("  " + "  ".join(f"{v.real:+.9f}{v.imag:+.9f}j" for v in row))
     print("eigenvalues:", " ".join(f"{v:.12g}" for v in lam))
     print(f"purity: {purity(rho):.12g}")
-    print(f"concurrence: {concurrence(embed_two_qubit(rho)):.12g}")
+    print(f"concurrence: {concurrence(rho):.12g}")
     return 0
 
 

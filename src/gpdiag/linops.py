@@ -78,14 +78,16 @@ def null_space_unit_trace(ell) -> np.ndarray:
 
     `ell` acts on the row-major vectorization of a dim x dim matrix.  Singular
     values below RANK_EPS times the largest one count as zero.  Exactly one
-    zero singular value is required; 0 raises NoSteadyStateError and >= 2
-    raises DegenerateSteadyStateError carrying the deficiency count.
+    zero singular value is required; 0, or an overflowed decomposition, raises
+    NoSteadyStateError and >= 2 raises DegenerateSteadyStateError.
     """
     ell = _as_square_complex(ell)
     dim = math.isqrt(ell.shape[0])
     if dim * dim != ell.shape[0]:
         raise ContractViolationError(f"superoperator size {ell.shape[0]} is not a perfect square")
     _, s, vh = np.linalg.svd(ell)
+    if not np.isfinite(s[0]):
+        raise NoSteadyStateError(f"singular value decomposition overflowed: largest singular value {s[0]}")
     deficiency = int(np.count_nonzero(s <= RANK_EPS * s[0]))
     if deficiency == 0:
         raise NoSteadyStateError(f"no null vector: smallest singular value {s[-1]:.3e}")

@@ -1,21 +1,16 @@
-"""Two-photon state derived from the atomic state: embedding, purity, concurrence.
+"""Two-photon state derived from the atomic state: purity, concurrence, embedding.
 
 Photon basis ordering is (|00>, |01>, |11>) for the 3x3 two-photon state and
 (|00>, |01>, |10>, |11>) for the 4x4 two-qubit embedding.  The cascade emits
-mode 2 before mode 1, so a mode-2-only photon (|10>) never occurs.
+mode 2 before mode 1, so a mode-2-only photon (|10>) never occurs, and the
+embedding serves only checks against general two-qubit formulas.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# sigma_y (x) sigma_y in the computational basis, used by the spin flip
-_YY = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-], dtype=complex)
+from gpdiag.linops import ContractViolationError
 
 
 def atomic_to_photon(rho: np.ndarray) -> np.ndarray:
@@ -37,24 +32,16 @@ def embed_two_qubit(rho3: np.ndarray) -> np.ndarray:
     return out
 
 
-def concurrence(rho4: np.ndarray) -> float:
-    """Spin-flip (Wootters) concurrence of a two-qubit density matrix.
+def concurrence(rho3: np.ndarray) -> float:
+    """Concurrence 2 |rho_{00,11}| of the 3x3 two-photon state (atomic 2 |rho_13|).
 
-    C = max(0, sqrt(mu1) - sqrt(mu2) - sqrt(mu3) - sqrt(mu4)) with mu_i the
-    descending eigenvalues of rho (Y x Y) rho* (Y x Y).  The square roots are
-    obtained as the singular values of sqrt(rho) (Y x Y) sqrt(rho)*, which is
-    similar to that product but avoids the O(sqrt(eps)) noise of extracting
-    near-zero eigenvalues from a non-normal matrix.  Negative eigenvalues of
-    rho from roundoff are clipped at zero when the square root is formed.
+    With the |10> level empty, the spin-flip (Wootters) concurrence reduces
+    exactly to this.  Any other shape raises ContractViolationError.
     """
-    rho4 = np.asarray(rho4, dtype=complex)
-    w, v = np.linalg.eigh(0.5 * (rho4 + rho4.conj().T))
-    # roundoff-scale eigenvalues must clip to exactly zero, or their square
-    # roots inject O(1e-8) noise into the singular values
-    w = np.where(w < 1e-13, 0.0, w)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    sigma = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    return float(max(0.0, sigma[0] - sigma[1] - sigma[2] - sigma[3]))
+    rho3 = np.asarray(rho3)
+    if rho3.shape != (3, 3):
+        raise ContractViolationError(f"expected a 3x3 two-photon state, got shape {rho3.shape}")
+    return 2.0 * float(abs(rho3[0, 2]))
 
 
 def purity(rho: np.ndarray) -> float:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import configparser
 import io
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -22,13 +23,13 @@ import numpy as np
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
 from gpdiag.gp import SWEEPABLE, UndefinedPhaseError, gp_curve_from_states, gp_derivative
 from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
-from gpdiag.photons import atomic_to_photon, concurrence, embed_two_qubit, purity
+from gpdiag.photons import atomic_to_photon, concurrence, purity
 
 OUTPUT_KINDS = ("eigenvalues", "purity", "concurrence", "gamma_g", "dgamma")
 SCHEMES = ("I", "II", "custom")
 
-_SWEEP_KEYS = ("scheme", "path", "outputs", "omega1", "omega2",
-               "delta1", "delta2", "gamma2", "gamma3")
+_PARAM_KEYS = ("omega1", "omega2", "delta1", "delta2", "gamma2", "gamma3")
+_SWEEP_KEYS = ("scheme", "path", "outputs", *_PARAM_KEYS)
 _AXIS_KEYS = ("parameter", "start", "stop", "samples")
 
 
@@ -48,6 +49,8 @@ class AxisSpec:
             raise ConfigError(f"unknown axis parameter {self.parameter!r}")
         if not (self.start < self.stop):
             raise ConfigError(f"axis start must be < stop, got [{self.start}, {self.stop}]")
+        if not math.isfinite(self.stop - self.start):
+            raise ConfigError(f"axis span stop - start must be finite, got [{self.start}, {self.stop}]")
         if self.samples < 2:
             raise ConfigError(f"axis samples must be >= 2, got {self.samples}")
 
@@ -76,6 +79,14 @@ class SweepSpec:
             raise ConfigError("axis1 and axis2 must sweep different parameters")
         if "dgamma" in self.outputs and self.axis1.samples < 3:
             raise ConfigError(f"output dgamma needs axis1 samples >= 3, got {self.axis1.samples}")
+        # every parameter constraint is an interval, so the grid is valid when its corners are
+        axes = [axis for axis in (self.axis1, self.axis2) if axis is not None]
+        for corner in itertools.product(*((axis.start, axis.stop) for axis in axes)):
+            where = ", ".join(f"{axis.parameter} = {value!r}" for axis, value in zip(axes, corner))
+            try:
+                replace(self.base, **{axis.parameter: value for axis, value in zip(axes, corner)})
+            except ValueError as err:
+                raise ConfigError(f"grid corner {where}: {err}") from err
 
 
 def _default_base(scheme: str) -> SystemParams:
@@ -118,14 +129,11 @@ def parse_config(text: str) -> SweepSpec:
         raise ConfigError("missing [axis1] section")
     sweep = parser["sweep"]
     scheme = sweep.get("scheme", "I")
-    base = _default_base(scheme)
-    for key in ("omega1", "omega2", "delta1", "delta2", "gamma2", "gamma3"):
-        if key in sweep:
-            value = _get_float(sweep, key, "[sweep]")
-            try:
-                base = base.with_value(key, value)
-            except ValueError as err:
-                raise ConfigError(f"[sweep]: {err}") from err
+    overrides = {key: _get_float(sweep, key, "[sweep]") for key in _PARAM_KEYS if key in sweep}
+    try:
+        base = replace(_default_base(scheme), **overrides)
+    except ValueError as err:
+        raise ConfigError(f"[sweep]: {err}") from err
     outputs_raw = sweep.get("outputs", "purity")
     outputs = tuple(token.strip() for token in outputs_raw.split(",") if token.strip())
     path = sweep.get("path", "sweep.csv")
@@ -156,7 +164,7 @@ def serialize_config(spec: SweepSpec) -> str:
     out.write(f"scheme = {spec.scheme}\n")
     out.write(f"path = {spec.path}\n")
     out.write(f"outputs = {', '.join(spec.outputs)}\n")
-    for key in ("omega1", "omega2", "delta1", "delta2", "gamma2", "gamma3"):
+    for key in _PARAM_KEYS:
         out.write(f"{key} = {getattr(spec.base, key)!r}\n")
     for name, axis in (("axis1", spec.axis1), ("axis2", spec.axis2)):
         if axis is None:
@@ -218,7 +226,7 @@ def _column_outputs(base, parameter, values, outputs):
         if "purity" in outputs:
             cells[i]["purity"] = purity(rho)
         if "concurrence" in outputs:
-            cells[i]["concurrence"] = concurrence(embed_two_qubit(rho))
+            cells[i]["concurrence"] = concurrence(rho)
     if "gamma_g" in outputs or "dgamma" in outputs:
         defined = [i for i, rho in enumerate(states) if rho is not None]
         gammas = [None] * len(values)

@@ -25,7 +25,7 @@ from gpdiag.gp import (
 )
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import hermitian_eig
-from gpdiag.photons import atomic_to_photon, concurrence, embed_two_qubit
+from gpdiag.photons import atomic_to_photon, concurrence
 from gpdiag.recipes import run_recipe
 
 X_GRID = np.linspace(0.05 + 1e-9, math.pi / 2 - 0.05 - 1e-9, 50)
@@ -71,7 +71,7 @@ def test_criterion_02_pure_concurrence_law():
     worst = 0.0
     values = []
     for x in X_GRID:
-        rho = embed_two_qubit(atomic_to_photon(steady_state(scheme_ii_at_angle(x))))
+        rho = atomic_to_photon(steady_state(scheme_ii_at_angle(x)))
         c = concurrence(rho)
         values.append(c)
         worst = max(worst, abs(c - math.sin(2 * x)))

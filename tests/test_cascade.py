@@ -30,6 +30,11 @@ class TestParams:
         with pytest.raises(ValueError):
             SystemParams(float("nan"), 1.0)
 
+    def test_two_photon_detuning_must_be_finite(self):
+        with pytest.raises(ValueError, match="delta1 \\+ delta2 must be finite"):
+            SystemParams(1.0, 1.0, delta1=1e308, delta2=1e308)
+        assert SystemParams(1.0, 1.0, delta1=1e308, delta2=-1e308).two_photon_detuning == 0.0
+
     def test_derived_accessors(self):
         p = SystemParams(3.0, 4.0, 1.0, 0.5, gamma2=6.0)
         assert p.two_photon_detuning == 1.5

@@ -37,6 +37,17 @@ class TestSteady:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_detuning_sum_overflow_is_usage_error(self, capsys):
+        code = run_cli(["steady", "--omega1", "1", "--omega2", "1", "--delta1", "1e308", "--delta2", "1e308"])
+        assert code == 1
+        assert capsys.readouterr().err == "gpdiag steady: error: delta1 + delta2 must be finite, got 1e+308 + 1e+308\n"
+
+    def test_overflowing_drive_is_numerical_failure(self, capsys):
+        code = run_cli(["steady", "--omega1", "1e308", "--omega2", "1e308"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "overflowed" in err and "dimension" not in err
+
     def test_scheme_default_rates(self, capsys):
         code = run_cli(["steady", "--omega1", "6", "--omega2", "6", "--scheme", "I"])
         out = capsys.readouterr().out
@@ -129,6 +140,21 @@ samples = 5
         assert run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err == "gpdiag: config error: unknown scheme 'III'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        SWEEP_1D.replace("parameter = delta1", "parameter = omega1"),
+        SWEEP_1D.replace("start = -1", "start = -1e308").replace("stop = 1\n", "stop = 1e308\n"),
+        SWEEP_1D.replace("[sweep]", "[sweep]\ndelta2 = 1e308").replace("stop = 1\n", "stop = 1e308\n"),
+    ], ids=["negative_drive_axis", "infinite_axis_span", "detuning_sum_overflow"])
+    def test_grid_outside_parameter_domain(self, text, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(text)
+        code = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("gpdiag: config error: ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

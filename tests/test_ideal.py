@@ -15,7 +15,7 @@ from gpdiag.ideal import (
     taylor_gp,
 )
 from gpdiag.linops import hermitian_eig
-from gpdiag.photons import atomic_to_photon, concurrence, embed_two_qubit
+from gpdiag.photons import atomic_to_photon, concurrence
 
 
 def scheme_ii_at(x, delta_bar, omega=6.0):
@@ -44,7 +44,7 @@ class TestPureConcurrence:
     def test_matches_spin_flip_on_dark_state(self):
         for x in np.linspace(0.0, math.pi / 2, 50):
             psi = dark_state(x)
-            rho = embed_two_qubit(np.outer(psi, psi.conj()))
+            rho = np.outer(psi, psi.conj())
             assert abs(concurrence(rho) - pure_concurrence(x)) <= 1e-10
 
 
@@ -157,6 +157,6 @@ class TestTaylorGp:
         d, dx = 1e-4, 1e-4
         for x in (0.3, 0.7, 1.1):
             psi = dark_state(x)
-            c_val = concurrence(embed_two_qubit(np.outer(psi, psi.conj())))
+            c_val = concurrence(np.outer(psi, psi.conj()))
             mixed = (taylor_gp(x, d, dx, g) - taylor_gp(x, d, -dx, g)) / (2.0 * dx)
             assert abs(mixed - (-g * c_val * d / 4.0)) <= 1e-10 * max(1.0, abs(d))

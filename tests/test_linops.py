@@ -96,6 +96,15 @@ def test_full_rank_has_no_null_space():
         null_space_unit_trace(np.eye(4))
 
 
+def test_overflowing_decomposition_is_no_steady_state():
+    # finite entries whose singular values overflow to inf; every s <= RANK_EPS * inf
+    # would otherwise count as zero and report a 9-dimensional null space
+    ell = liouvillian(SystemParams(1e308, 1e308))
+    assert np.all(np.isfinite(ell))
+    with pytest.raises(NoSteadyStateError, match="overflowed"):
+        null_space_unit_trace(ell)
+
+
 def test_null_residual_invariant(rng):
     for _ in range(10):
         p = SystemParams(rng.uniform(0.5, 6), rng.uniform(0.5, 6),

@@ -1,11 +1,15 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density
 from gpdiag.cascade import SystemParams, steady_state
-from gpdiag.linops import hermitian_eig
+from gpdiag.linops import ContractViolationError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, embed_two_qubit, purity
+from wootters import wootters_concurrence
 
 
 def bell_projector():
@@ -61,10 +65,10 @@ def test_embed_bell_regime():
 
 
 def test_concurrence_bell_and_product():
-    assert abs(concurrence(bell_projector()) - 1.0) <= 1e-12
-    assert concurrence(np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)) == 0.0
+    assert abs(wootters_concurrence(bell_projector()) - 1.0) <= 1e-12
+    assert wootters_concurrence(np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)) == 0.0
     # spin-flipped diag(1/2,0,0,1/2) equals itself; sqrt eigenvalues (1/2,1/2,0,0)
-    assert concurrence(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)) == 0.0
+    assert wootters_concurrence(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)) == 0.0
 
 
 def test_concurrence_superposition_law(rng):
@@ -75,26 +79,84 @@ def test_concurrence_superposition_law(rng):
         a, b = a / norm, b / norm
         psi = np.array([a, 0.0, 0.0, b])
         rho = np.outer(psi, psi.conj())
-        assert abs(concurrence(rho) - 2.0 * abs(a) * abs(b)) <= 1e-10
+        assert abs(wootters_concurrence(rho) - 2.0 * abs(a) * abs(b)) <= 1e-10
 
 
 def test_concurrence_matches_sin_2x():
     xs = np.linspace(0.05, math.pi / 2 - 0.05, 25)
     for x in xs:
         p = SystemParams.scheme_ii(6.0 * math.sin(x), 6.0 * math.cos(x))
-        rho = embed_two_qubit(atomic_to_photon(steady_state(p)))
+        rho = atomic_to_photon(steady_state(p))
         assert abs(concurrence(rho) - math.sin(2 * x)) <= 1e-6
 
 
 def test_concurrence_local_phase_invariance(rng):
     rho3 = random_density(rng, 3)
     rho = embed_two_qubit(rho3)
-    base = concurrence(rho)
+    base = wootters_concurrence(rho)
     for _ in range(10):
         theta, phi = rng.uniform(0, 2 * math.pi, size=2)
         u = np.kron(np.diag([1.0, np.exp(1j * theta)]), np.diag([1.0, np.exp(1j * phi)]))
         rotated = u @ rho @ u.conj().T
-        assert abs(concurrence(rotated) - base) <= 1e-10
+        assert abs(wootters_concurrence(rotated) - base) <= 1e-10
+
+
+def test_concurrence_rejects_two_qubit_embedding():
+    rho3 = random_density(np.random.default_rng(7), 3)
+    with pytest.raises(ContractViolationError, match="3x3"):
+        concurrence(embed_two_qubit(rho3))
+
+
+def _on_levels(rho2, levels):
+    """A 2x2 density matrix placed on two photon levels of the 3x3 state."""
+    out = np.zeros((3, 3), dtype=complex)
+    out[np.ix_(levels, levels)] = rho2
+    return out
+
+
+_seed = st.integers(0, 2**32 - 1)
+_unit = st.floats(0.1, 6.0)
+# two-photon detuning exactly 0 or at least 1e-3 in size: nearer resonance a
+# scheme-II state has eigenvalues between the oracle's 1e-13 clip and about
+# 1e-8, whose square roots carry roundoff above 1e-14 into the oracle
+# (1.8e-14 at a detuning of 1e-5)
+_two_photon_detuning = st.one_of(st.just(0.0), st.floats(-6.0, 6.0).filter(lambda d: abs(d) >= 1e-3))
+
+
+def _steady_photon_state(omega1, omega2, delta1, detuning, gamma2, scheme_ii):
+    p = SystemParams(omega1, omega2, delta1, detuning - delta1, gamma2, 0.0 if scheme_ii else 1.0)
+    return atomic_to_photon(steady_state(p))
+
+
+def _no_coherence(seed, weight, upper):
+    # a state on {|00>, |01>} plus |11>, or on {|01>, |11>} plus |00>: rho_{00,11} = 0
+    rho2 = random_density(np.random.default_rng(seed), 2)
+    rest = np.diag([1.0, 0.0, 0.0] if upper else [0.0, 0.0, 1.0]).astype(complex)
+    return weight * _on_levels(rho2, [1, 2] if upper else [0, 1]) + (1.0 - weight) * rest
+
+
+_photon_states = st.one_of(
+    st.builds(lambda seed, rank: random_density(np.random.default_rng(seed), 3, rank),
+              _seed, st.integers(1, 3)),
+    st.builds(_steady_photon_state, _unit, _unit, st.floats(-6.0, 6.0), _two_photon_detuning,
+              _unit, st.booleans()),
+    st.builds(lambda seed, rank: _on_levels(random_density(np.random.default_rng(seed), 2, rank), [0, 2]),
+              _seed, st.integers(1, 2)),
+    st.builds(_no_coherence, _seed, st.floats(0.0, 1.0), st.booleans()),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rho3=_photon_states)
+def test_concurrence_is_wootters_without_10_level(rho3):
+    """2 |rho_{00,11}| equals the spin-flip concurrence of the embedded state: random
+    states of rank 1-3, scheme-I/II steady states, no |01> population, no coherence."""
+    # the oracle clips eigenvalues below 1e-13 to zero, and a clipped eigenvalue
+    # may move rho_{00,11} by its size; a solver state can carry such small ones
+    # of either sign (down to -2.5e-12 at drives and gamma2 of 0.1, scheme II)
+    w = np.linalg.eigvalsh(rho3)
+    tol = 1e-14 + 2.0 * np.abs(w[w < 1e-13]).sum()
+    assert abs(concurrence(rho3) - wootters_concurrence(embed_two_qubit(rho3))) <= tol
 
 
 def test_purity():

@@ -111,8 +111,15 @@ class TestParseConfig:
         (MINIMAL.replace("stop = 1\n", ""), "missing key 'stop'"),
         (MINIMAL.replace("samples = 5", "samples = 2.5"), "samples must be an integer"),
         (MINIMAL.replace("outputs = purity", "outputs ="), "at least one output"),
+        (MINIMAL.replace("parameter = delta1", "parameter = omega1"),
+         "grid corner omega1 = -1.0: Rabi frequencies must be >= 0"),
+        (MINIMAL.replace("start = -1", "start = -1e308").replace("stop = 1\n", "stop = 1e308\n"),
+         "axis span stop - start must be finite"),
+        (MINIMAL.replace("[sweep]", "[sweep]\ndelta2 = 1e308").replace("stop = 1\n", "stop = 1e308\n"),
+         "grid corner delta1 = 1e\\+308: delta1 \\+ delta2 must be finite"),
     ], ids=["non_numeric", "non_finite", "no_header", "no_sweep", "unknown_scheme",
-            "missing_axis_key", "non_integer_samples", "empty_outputs"])
+            "missing_axis_key", "non_integer_samples", "empty_outputs",
+            "negative_drive_axis", "infinite_axis_span", "detuning_sum_overflow"])
     def test_rejected_config(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
