@@ -7,7 +7,6 @@ from gpdiag.gp import (
     PathSpec,
     SpectralTrajectory,
     UndefinedPhaseError,
-    gp_curve,
     gp_derivative,
     mixed_state_gp,
     pancharatnam_phase,
@@ -41,7 +40,6 @@ __all__ = [
     "concurrence",
     "embed_two_qubit",
     "evolve",
-    "gp_curve",
     "gp_derivative",
     "hermitian_eig",
     "lindblad_rhs",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from gpdiag.linops import null_space_unit_trace, unvec, vec
+from gpdiag.linops import NoSteadyStateError, null_space_unit_trace, unvec, vec
 
 DEFAULT_GAMMA2 = 6.0   # 5P_3/2 linewidth of 87Rb in MHz
 DEFAULT_GAMMA3_REAL = 1.0   # metastable top level ("scheme I")
@@ -141,12 +141,13 @@ def steady_state(p: SystemParams) -> np.ndarray:
 
     Solved exactly from the null space of the Liouvillian.  Raises
     DegenerateSteadyStateError / NoSteadyStateError from linops when the null
-    space is not one-dimensional.
+    space is not one-dimensional, and NoSteadyStateError when the null vector
+    is not positive semidefinite.
     """
     rho = null_space_unit_trace(liouvillian(p))
     low = float(np.linalg.eigvalsh(rho).min())
     if low < -1e-10:
-        raise RuntimeError(f"steady state not positive semidefinite (min eigenvalue {low:.3e})")
+        raise NoSteadyStateError(f"steady state not positive semidefinite (min eigenvalue {low:.3e})")
     return rho
 
 

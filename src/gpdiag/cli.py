@@ -7,7 +7,7 @@ sweep --config <file>                      declarative sweep -> CSV
 steady --omega1 .. --omega2 ..             one steady state -> stdout
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
-(no point of a recipe or sweep produced a value).
+(no point of a recipe or sweep produced a value, or no physical steady state).
 """
 
 from __future__ import annotations

@@ -263,45 +263,31 @@ def unwrap_phases(values):
     return out
 
 
-def gp_curve_from_states(states, values) -> list:
+def gp_curve_from_states(states) -> list:
     """gamma_g of every prefix of a sampled path, anchored to zero at the start.
 
     The spectral trajectory (and its branch matching) is built once; each
-    prefix reuses it.  Undefined-phase points are recorded as (value, None)
-    gaps.  The defined points are phase-unwrapped in path order.
+    prefix reuses it.  Undefined-phase points are None gaps.  The defined
+    points are phase-unwrapped in path order.
     """
     # sum() adds the branches in order, as mixed_state_gp does, so the last
     # point equals mixed_state_gp bitwise
     totals = [sum(row) for row in _prefix_terms(track_spectrum(states))]
-    gammas = [
-        float(np.angle(t)) if abs(t) > EPS_VIS else None for t in totals
-    ]
-    gammas = unwrap_phases(gammas)
-    return list(zip([float(v) for v in values], gammas))
+    return unwrap_phases([float(np.angle(t)) if abs(t) > EPS_VIS else None for t in totals])
 
 
-def gp_curve(spec: PathSpec) -> list:
-    """gamma_g along the path of `spec`; see gp_curve_from_states."""
-    return gp_curve_from_states(sample_path(spec), spec.values())
+def gp_derivative(gammas, h) -> list:
+    """d gamma / d s of gap-free phases sampled h apart.
 
-
-def gp_derivative(curve) -> list:
-    """d gamma_g / d s by central differences, second-order one-sided at the ends.
-
-    The curve must be gap-free with uniform spacing.
+    Central differences inside, second-order one-sided differences at the ends.
     """
-    if len(curve) < 3:
+    if len(gammas) < 3:
         raise ValueError("need at least 3 points to differentiate")
-    s = np.array([p[0] for p in curve], dtype=float)
-    if any(p[1] is None for p in curve):
-        raise ValueError("curve contains undefined points; filter gaps before differentiating")
-    g = np.array([p[1] for p in curve], dtype=float)
-    h = s[1] - s[0]
-    steps = np.diff(s)
-    if np.max(np.abs(steps - h)) > 1e-9 * max(1.0, abs(h)):
-        raise ValueError("curve spacing is not uniform")
+    if any(g is None for g in gammas):
+        raise ValueError("phases contain undefined points; filter gaps before differentiating")
+    g = np.array(gammas, dtype=float)
     d = np.empty_like(g)
     d[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
     d[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
     d[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * h)
-    return list(zip(s.tolist(), d.tolist()))
+    return d.tolist()

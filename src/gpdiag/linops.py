@@ -21,7 +21,7 @@ class ContractViolationError(ValueError):
 
 
 class NoSteadyStateError(RuntimeError):
-    """The superoperator has no null vector (full rank)."""
+    """No physical steady state: no usable null vector, or one that is not positive semidefinite."""
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -92,7 +92,8 @@ def null_space_unit_trace(ell) -> np.ndarray:
     if deficiency == 0:
         raise NoSteadyStateError(f"no null vector: smallest singular value {s[-1]:.3e}")
     if deficiency >= 2:
-        raise DegenerateSteadyStateError(deficiency)
+        raise DegenerateSteadyStateError(deficiency, f"null space has dimension {deficiency} (singular "
+                                         f"values <= {RANK_EPS:g} x largest {s[0]:.3e})")
     m = vh[-1].conj().reshape(dim, dim)
     tr = np.trace(m)
     if abs(tr) < 1e-6:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
-from gpdiag.gp import UndefinedPhaseError, fix_global_phase, gp_derivative, pancharatnam_phase, unwrap_phases
+from gpdiag.gp import PathSpec, UndefinedPhaseError, fix_global_phase, gp_derivative, pancharatnam_phase, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon
@@ -85,8 +85,8 @@ def _write_meta(out_dir: Path, recipe_id: str, meta: dict) -> Path:
 
 def _run_fig2(samples, jobs, gamma2, gamma3):
     deltas = np.linspace(*_FIG2_DELTA, samples)
-    payloads = [(SystemParams(o1, o2, 0.0, 0.0, gamma2, 0.0 if tag == "ii" else gamma3),
-                 "delta1", deltas, ("eigenvalues",))
+    payloads = [(PathSpec(SystemParams(o1, o2, 0.0, 0.0, gamma2, 0.0 if tag == "ii" else gamma3),
+                          "delta1", *_FIG2_DELTA, samples), ("eigenvalues",))
                 for tag, o1, o2 in _FIG2_COMBOS]
     columns = map_columns(_column_outputs, payloads, jobs)
     tables = [(f"fig2_{tag}_{o1:g}_{o2:g}.csv", ["delta", "lambda1", "lambda2", "lambda3"],
@@ -113,8 +113,8 @@ def _run_fig3(recipe_id, samples, jobs, gamma2, gamma3):
     g3 = 0.0 if scheme == "II" else gamma3
     deltas = np.linspace(*_FIG3_DELTA, samples)
     doms = np.linspace(*_FIG3_DOMEGA, samples)
-    payloads = [(SystemParams(_FIG3_OMEGA2 + dom, _FIG3_OMEGA2, 0.0, 0.0, gamma2, g3),
-                 "delta1", deltas, ("concurrence",))
+    payloads = [(PathSpec(SystemParams(_FIG3_OMEGA2 + dom, _FIG3_OMEGA2, 0.0, 0.0, gamma2, g3),
+                          "delta1", *_FIG3_DELTA, samples), ("concurrence",))
                 for dom in doms]
     table = grid_rows(deltas, doms, map_columns(_column_outputs, payloads, jobs))
     meta = {
@@ -138,8 +138,7 @@ def _run_fig3(recipe_id, samples, jobs, gamma2, gamma3):
 def _fig4_ideal_column(x0, dx, gamma2, deltas):
     g21 = gamma2 * math.cos(x0) / (2.0 * _FIG4_OMEGA2)
     gammas = unwrap_phases([taylor_gp(x0, d, dx, g21) for d in deltas])
-    deriv = gp_derivative(list(zip(deltas.tolist(), gammas)))
-    return [[v] for _, v in deriv]
+    return [[v] for v in gp_derivative(gammas, deltas[1] - deltas[0])]
 
 
 def _fig4_dominant_vector(p: SystemParams) -> np.ndarray:
@@ -164,8 +163,7 @@ def _fig4_numeric_column(x0, dx, gamma2, gamma3, deltas, ref):
     if any(g is None for g in gammas):
         return [[None]] * len(deltas)
     gammas = unwrap_phases(gammas)
-    deriv = gp_derivative(list(zip(deltas.tolist(), gammas)))
-    return [[v] for _, v in deriv]
+    return [[v] for v in gp_derivative(gammas, deltas[1] - deltas[0])]
 
 
 def _run_fig4(samples, jobs, gamma2, gamma3):
@@ -210,7 +208,8 @@ def _run_fig4(samples, jobs, gamma2, gamma3):
 
 def _run_fig5(samples, jobs, gamma2, gamma3):
     deltas = np.linspace(*_FIG5_DELTA1, samples)
-    payloads = [(SystemParams(o1, o2, 0.0, d2, gamma2, gamma3), "delta1", deltas, ("gamma_g", "dgamma"))
+    payloads = [(PathSpec(SystemParams(o1, o2, 0.0, d2, gamma2, gamma3), "delta1", *_FIG5_DELTA1, samples),
+                 ("gamma_g", "dgamma"))
                 for _, o1, o2, d2 in _FIG5_SETS]
     columns = map_columns(_column_outputs, payloads, jobs)
     tables = [(f"fig5_{tag}.csv", ["delta1", "gamma_g", "dgamma"], *grid_rows(deltas, [None], [column]))
@@ -236,9 +235,8 @@ def _run_fig5(samples, jobs, gamma2, gamma3):
 def _run_fig6(samples, jobs, gamma2, gamma3):
     doms = np.linspace(*_FIG6_OMFLUCT, _FIG6_GRID)
     dfls = np.linspace(*_FIG6_DFLUCT, _FIG6_GRID)
-    deltas = np.linspace(*_FIG5_DELTA1, samples)
-    payloads = [(SystemParams(_FIG6_OMEGA2 + dom, _FIG6_OMEGA2, 0.0, dfl, gamma2, gamma3),
-                 "delta1", deltas, ("gamma_g",))
+    payloads = [(PathSpec(SystemParams(_FIG6_OMEGA2 + dom, _FIG6_OMEGA2, 0.0, dfl, gamma2, gamma3),
+                          "delta1", *_FIG5_DELTA1, samples), ("gamma_g",))
                 for dom in doms for dfl in dfls]
     # a cell is the endpoint gamma_g of its delta1 column; cells[i_dom][i_dfl]
     ends = [column[-1][0] for column in map_columns(_column_outputs, payloads, jobs)]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
-from gpdiag.gp import SWEEPABLE, UndefinedPhaseError, gp_curve_from_states, gp_derivative
+from gpdiag.gp import SWEEPABLE, PathSpec, UndefinedPhaseError, gp_curve_from_states, gp_derivative
 from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 
@@ -204,16 +204,17 @@ def map_columns(fn, payloads, jobs):
     return [fn(*p) for p in payloads]
 
 
-def _column_outputs(base, parameter, values, outputs):
-    """Evaluate `outputs` at every value of `parameter` on the path through `base`.
+def _column_outputs(spec: PathSpec, outputs):
+    """Evaluate `outputs` at every sample of the path `spec`.
 
-    Returns one list of fields per value, in the column order of `outputs`
+    Returns one list of fields per sample, in the column order of `outputs`
     (None = undefined).  gamma_g/dgamma are evaluated along the path.
     """
+    values = spec.values()
     states = []
     for v in values:
         try:
-            states.append(atomic_to_photon(steady_state(base.with_value(parameter, v))))
+            states.append(atomic_to_photon(steady_state(spec.params_at(v))))
         except (DegenerateSteadyStateError, NoSteadyStateError):
             states.append(None)
     cells = [dict() for _ in values]
@@ -232,9 +233,7 @@ def _column_outputs(base, parameter, values, outputs):
         gammas = [None] * len(values)
         if len(defined) >= 2:
             try:
-                curve = gp_curve_from_states([states[i] for i in defined],
-                                             [values[i] for i in defined])
-                for i, (_, g) in zip(defined, curve):
+                for i, g in zip(defined, gp_curve_from_states([states[i] for i in defined])):
                     gammas[i] = g
             except UndefinedPhaseError:
                 pass
@@ -242,8 +241,7 @@ def _column_outputs(base, parameter, values, outputs):
             for i, g in enumerate(gammas):
                 cells[i]["gamma_g"] = g
         if "dgamma" in outputs and all(g is not None for g in gammas):
-            deriv = gp_derivative(list(zip(values.tolist(), gammas)))
-            for i, (_, d) in enumerate(deriv):
+            for i, d in enumerate(gp_derivative(gammas, values[1] - values[0])):
                 cells[i]["dgamma"] = d
     columns = [col for out in outputs for col in _output_columns(out)]
     return [[cell.get(col) for col in columns] for cell in cells]
@@ -295,17 +293,17 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1):
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    axis1_values = spec.axis1.values()
-    axis2_values = [None] if spec.axis2 is None else list(spec.axis2.values())
-    payloads = [(spec.base if v is None else spec.base.with_value(spec.axis2.parameter, v),
-                 spec.axis1.parameter, axis1_values, spec.outputs)
+    axis1, axis2 = spec.axis1, spec.axis2
+    axis2_values = [None] if axis2 is None else list(axis2.values())
+    payloads = [(PathSpec(spec.base if v is None else spec.base.with_value(axis2.parameter, v),
+                          axis1.parameter, axis1.start, axis1.stop, axis1.samples), spec.outputs)
                 for v in axis2_values]
     columns = map_columns(_column_outputs, payloads, jobs)
-    header = [spec.axis1.parameter]
-    if spec.axis2 is not None:
-        header.append(spec.axis2.parameter)
+    header = [axis1.parameter]
+    if axis2 is not None:
+        header.append(axis2.parameter)
     for out in spec.outputs:
         header.extend(_output_columns(out))
-    table = grid_rows(axis1_values, axis2_values, columns)
+    table = grid_rows(axis1.values(), axis2_values, columns)
     paths, undefined = write_tables(out_dir, [(spec.path, header, *table)], "sweep")
     return paths[0], undefined

@@ -194,7 +194,7 @@ def test_criterion_06_plateau_and_slope_ordering():
         gammas = unwrap_phases([
             pancharatnam_phase(ref, dominant(scheme(omega1, 6.0, delta1=d))) for d in deltas
         ])
-        deriv = np.array([v for _, v in gp_derivative(list(zip(deltas.tolist(), gammas)))])
+        deriv = np.array(gp_derivative(gammas, deltas[1] - deltas[0]))
         return float(np.abs(deriv[inside]).max())
 
     def closed_form_slope(omega1):

@@ -48,6 +48,23 @@ class TestSteady:
         assert code == 2
         assert "overflowed" in err and "dimension" not in err
 
+    def test_non_positive_null_vector_is_numerical_failure(self, capsys):
+        # at drives of 1e7 the scheme-II null vector has an eigenvalue below -1e-10
+        code = run_cli(["steady", "--omega1", "1e7", "--omega2", "1e7", "--scheme", "II"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("gpdiag: numerical failure: steady state not positive semidefinite")
+        assert err.count("\n") == 1
+
+    def test_rank_threshold_named_in_degenerate_message(self, capsys):
+        # at drives of 1e10 the decay terms fall below the relative rank threshold
+        code = run_cli(["steady", "--omega1", "1e10", "--omega2", "1e10"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("gpdiag: numerical failure: null space has dimension ")
+        assert "(singular values <= 1e-09 x largest " in err
+        assert err.count("\n") == 1
+
     def test_scheme_default_rates(self, capsys):
         code = run_cli(["steady", "--omega1", "6", "--omega2", "6", "--scheme", "I"])
         out = capsys.readouterr().out
@@ -156,6 +173,18 @@ samples = 5
         assert err.startswith("gpdiag: config error: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_non_positive_null_vectors_are_gaps(self, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D.replace("scheme = I", "scheme = II\nomega1 = 1e7\nomega2 = 1e7")
+                          .replace("purity, gamma_g", "purity").replace("samples = 9", "samples = 21"))
+        code = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path), "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 0
+        undefined = int(err.removeprefix("undefined points: "))
+        rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+        assert 0 < undefined < 21
+        assert sum(purity == "" for _, purity in rows) == undefined
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["sweep", "--config", str(tmp_path / "nope.ini")]) == 1

@@ -13,7 +13,6 @@ from gpdiag.gp import (
     SpectralTrajectory,
     UndefinedPhaseError,
     fix_global_phase,
-    gp_curve,
     gp_curve_from_states,
     gp_derivative,
     mixed_state_gp,
@@ -201,21 +200,21 @@ class TestFixGlobalPhase:
 class TestGpCurve:
     def test_two_point_curve_matches_definition(self):
         spec = PathSpec(BELL, "delta1", -0.5, 0.5, 2)
-        curve = gp_curve(spec)
-        assert curve[0][1] == 0.0
+        curve = gp_curve_from_states(sample_path(spec))
+        assert curve[0] == 0.0
         pair = mixed_state_gp(track_spectrum(sample_path(spec)))
-        assert abs(curve[1][1] - pair.gamma_g) <= 1e-12
+        assert abs(curve[1] - pair.gamma_g) <= 1e-12
 
     def test_multi_point_curve_ends_at_mixed_state_gp(self):
         # the fig5 ab path: the curve's last point is the phase of the whole path
         spec = PathSpec(BELL, "delta1", -3.0, 3.0, 601)
-        end = gp_curve(spec)[-1][1]
+        end = gp_curve_from_states(sample_path(spec))[-1]
         full = mixed_state_gp(track_spectrum(sample_path(spec))).gamma_g
         assert abs(math.remainder(end - full, 2 * math.pi)) <= 1e-12
 
     def test_anchor_is_exactly_zero(self):
-        curve = gp_curve(PathSpec(BELL, "delta1", -3.0, 3.0, 51))
-        assert curve[0][1] == 0.0
+        curve = gp_curve_from_states(sample_path(PathSpec(BELL, "delta1", -3.0, 3.0, 51)))
+        assert curve[0] == 0.0
 
     def test_unwrap_removes_artificial_jump(self):
         series = [0.0, 0.1, 0.2, 0.2 + 2 * math.pi, 0.3 + 2 * math.pi]
@@ -228,8 +227,8 @@ class TestGpCurve:
 
     def test_reversal_antisymmetry(self):
         states = sample_path(PathSpec(BELL, "delta1", -2.0, 2.0, 201))
-        fwd = gp_curve_from_states(states, range(len(states)))[-1][1]
-        rev = gp_curve_from_states(states[::-1], range(len(states)))[-1][1]
+        fwd = gp_curve_from_states(states)[-1]
+        rev = gp_curve_from_states(states[::-1])[-1]
         assert circular_delta(fwd, -rev) <= 1e-6
 
     def test_gauge_invariance_under_rephasing(self, rng):
@@ -278,8 +277,8 @@ class TestGpCurve:
         # least linearly (empirical log-log slope >= 1)
         values = {}
         for m in (100, 200, 400, 800, 1600):
-            curve = gp_curve(PathSpec(BELL, "delta1", -3.0, 3.0, m + 1))
-            values[m] = curve[-1][1]
+            curve = gp_curve_from_states(sample_path(PathSpec(BELL, "delta1", -3.0, 3.0, m + 1)))
+            values[m] = curve[-1]
         diffs = [abs(values[2 * m] - values[m]) for m in (100, 200, 400, 800)]
         slope = np.polyfit(np.log([100, 200, 400, 800]), np.log(diffs), 1)[0]
         assert slope <= -1.0
@@ -287,22 +286,17 @@ class TestGpCurve:
 
 class TestGpDerivative:
     def test_linear_series(self):
-        curve = [(s, 2.0 * s) for s in np.linspace(0, 1, 11)]
-        deriv = gp_derivative(curve)
-        np.testing.assert_allclose([d for _, d in deriv], 2.0, atol=1e-12)
+        s = np.linspace(0, 1, 11)
+        deriv = gp_derivative(list(2.0 * s), s[1] - s[0])
+        np.testing.assert_allclose(deriv, 2.0, atol=1e-12)
 
     def test_quadratic_exact_inside(self):
         s = np.linspace(-1, 1, 21)
-        curve = list(zip(s, 3.0 * s * s))
-        deriv = gp_derivative(curve)
-        np.testing.assert_allclose([d for _, d in deriv], 6.0 * s, atol=1e-10)
-
-    def test_requires_uniform_spacing(self):
-        with pytest.raises(ValueError):
-            gp_derivative([(0.0, 0.0), (0.1, 0.1), (0.3, 0.2)])
+        deriv = gp_derivative(list(3.0 * s * s), s[1] - s[0])
+        np.testing.assert_allclose(deriv, 6.0 * s, atol=1e-10)
 
     def test_rejects_gaps_and_short_input(self):
         with pytest.raises(ValueError):
-            gp_derivative([(0.0, 0.0), (0.1, None), (0.2, 0.2)])
+            gp_derivative([0.0, None, 0.2], 0.1)
         with pytest.raises(ValueError):
-            gp_derivative([(0.0, 0.0), (0.1, 0.1)])
+            gp_derivative([0.0, 0.1], 0.1)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import gpdiag.sweep
+from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams
+from gpdiag.gp import PathSpec, gp_curve_from_states, gp_derivative, sample_path
 from gpdiag.sweep import (
     AxisSpec, ConfigError, SweepSpec, format_field, map_columns, parse_config, run_sweep, serialize_config,
 )
@@ -182,6 +184,16 @@ samples = 61
         fig5_rows = [line.split(",") for line in fig5a.read_text().splitlines()[1:]]
         for srow, frow in zip(sweep_rows, fig5_rows):
             assert abs(float(srow[1]) - float(frow[1])) <= 1e-12
+
+    def test_engine_matches_sample_path(self):
+        # the engine's sampler records gaps and gp.sample_path raises; on the
+        # fig5 ab path both must give the same phases and slopes, bitwise
+        spec = PathSpec(SystemParams(6.0, 6.0, 0.0, 0.0, DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL),
+                        "delta1", -3.0, 3.0, 121)
+        values = spec.values()
+        gammas = gp_curve_from_states(sample_path(spec))
+        expected = [[g, d] for g, d in zip(gammas, gp_derivative(gammas, values[1] - values[0]))]
+        assert gpdiag.sweep._column_outputs(spec, ("gamma_g", "dgamma")) == expected
 
     def test_formatting(self):
         assert format_field(None) == ""
