@@ -1,11 +1,12 @@
 """Frozen figure recipes, one CSV per panel.
 
 Recipe parameters that are free choices (grid windows, the drive strength of
-the derivative-surface maps, the fluctuation-map window) are frozen here and
-recorded in a sidecar <id>_meta.json for transparency.  Every recipe except
-fig4 is a table of sweep columns evaluated by sweep._column_outputs.  All
-outputs are deterministic for a given sample count, independent of the worker
-count.
+the derivative-surface maps, the fluctuation-map window) are frozen in one
+table per recipe, keyed as in its sidecar <id>_meta.json: the recipe reads its
+inputs from the table, and run_recipe writes the table, plus the run-time
+entries, as the sidecar.  Every recipe except fig4 is a table of delta1
+columns evaluated by sweep._column_outputs.  All outputs are deterministic for
+a given sample count, independent of the worker count.
 """
 
 from __future__ import annotations
@@ -25,41 +26,10 @@ from gpdiag.photons import atomic_to_photon
 from gpdiag.sweep import _column_outputs, grid_rows, map_columns, write_tables
 
 # fewest samples per axis of each recipe; fig4 and fig5 differentiate along it,
-# which takes 3 points
-MIN_SAMPLES = {"fig2": 2, "fig3a": 2, "fig3b": 2, "fig4": 3, "fig5": 3, "fig6": 2}
+# which takes 3 points; at 2 samples the transport correction cancels the only
+# overlap phase, so every fig6 endpoint gamma_g is 0 up to rounding
+MIN_SAMPLES = {"fig2": 2, "fig3a": 2, "fig3b": 2, "fig4": 3, "fig5": 3, "fig6": 3}
 RECIPE_IDS = tuple(MIN_SAMPLES)
-
-# eigenvalue curves: (scheme tag, omega1, omega2)
-_FIG2_COMBOS = (("ii", 6.0, 6.0), ("i", 6.0, 6.0), ("ii", 3.0, 6.0), ("i", 3.0, 6.0))
-_FIG2_DELTA = (-6.0, 6.0)
-
-_FIG3_DELTA = (-6.0, 6.0)
-_FIG3_DOMEGA = (-4.0, 4.0)
-_FIG3_OMEGA2 = 6.0
-
-# derivative-surface windows around (delta_bar = 0, X0); the drive strength is
-# chosen so the closed-form slope contrast between the windows is resolved
-_FIG4_OMEGA2 = 2.0
-_FIG4_DELTA = (-0.5, 0.5)
-_FIG4_DX = (-0.3, 0.3)
-_FIG4_DX_SAMPLES = 13
-_FIG4_WINDOWS = (("separable", 0.0), ("bell", math.pi / 4.0))
-
-# gamma_g(delta1) sweeps: (panel tag, omega1, omega2, delta2)
-_FIG5_SETS = (
-    ("ab", 6.0, 6.0, 0.0),
-    ("cd", 3.0, 6.0, 0.0),
-    ("ef", 6.0, 3.0, 0.0),
-    ("gh", 6.0, 6.0, 3.0),
-    ("ij", 1.5, 6.0, 0.0),
-)
-_FIG5_DELTA1 = (-3.0, 3.0)
-
-# stability map: fluctuations applied to the (6, 6) sweep of fig5 panel a
-_FIG6_DFLUCT = (-2.0, 2.0)
-_FIG6_OMFLUCT = (-1.0, 1.0)
-_FIG6_GRID = 21
-_FIG6_OMEGA2 = 6.0
 
 
 @dataclass
@@ -68,77 +38,87 @@ class RecipeResult:
     undefined_points: int = 0
 
 
-def _write_meta(out_dir: Path, recipe_id: str, meta: dict) -> Path:
-    path = out_dir / f"{recipe_id}_meta.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+def _delta1_columns(bases, span, samples, outputs, jobs):
+    """`outputs` along delta1 over `span` from each base point; returns (delta1 values, columns)."""
+    specs = [PathSpec(base, "delta1", *span, samples) for base in bases]
+    return specs[0].values(), map_columns(_column_outputs, [(spec, outputs) for spec in specs], jobs)
 
 
-# Each recipe returns (tables, meta): one (file name, header, *grid_rows(...))
-# table per CSV, and the sidecar written as <id>_meta.json.
+# Each recipe runs as run(recipe_id, table, samples, jobs, gamma2, gamma3) and
+# returns (tables, entries): one (file name, header, *grid_rows(...)) table per
+# CSV, and the run-time entries of the sidecar.
 
 # ---------------------------------------------------------------------------
 # fig2: steady-state eigenvalues vs two-photon detuning
 
+_FIG2 = {
+    "delta_range": (-6.0, 6.0),
+    "delta_is": "delta1 (delta2 = 0)",
+    "combos": ({"scheme": "ii", "omega1": 6.0, "omega2": 6.0}, {"scheme": "i", "omega1": 6.0, "omega2": 6.0},
+               {"scheme": "ii", "omega1": 3.0, "omega2": 6.0}, {"scheme": "i", "omega1": 3.0, "omega2": 6.0}),
+}
 
-def _run_fig2(samples, jobs, gamma2, gamma3):
-    deltas = np.linspace(*_FIG2_DELTA, samples)
-    payloads = [(PathSpec(SystemParams(o1, o2, 0.0, 0.0, gamma2, 0.0 if tag == "ii" else gamma3),
-                          "delta1", *_FIG2_DELTA, samples), ("eigenvalues",))
-                for tag, o1, o2 in _FIG2_COMBOS]
-    columns = map_columns(_column_outputs, payloads, jobs)
-    tables = [(f"fig2_{tag}_{o1:g}_{o2:g}.csv", ["delta", "lambda1", "lambda2", "lambda3"],
+
+def _run_fig2(recipe_id, t, samples, jobs, gamma2, gamma3):
+    bases = [SystemParams(c["omega1"], c["omega2"], 0.0, 0.0, gamma2, 0.0 if c["scheme"] == "ii" else gamma3)
+             for c in t["combos"]]
+    deltas, columns = _delta1_columns(bases, t["delta_range"], samples, ("eigenvalues",), jobs)
+    tables = [(f"fig2_{c['scheme']}_{c['omega1']:g}_{c['omega2']:g}.csv", ["delta", "lambda1", "lambda2", "lambda3"],
                *grid_rows(deltas, [None], [column]))
-              for (tag, o1, o2), column in zip(_FIG2_COMBOS, columns)]
-    meta = {
-        "recipe": "fig2",
-        "delta_range": list(_FIG2_DELTA),
-        "delta_is": "delta1 (delta2 = 0)",
-        "samples": samples,
-        "combos": [{"scheme": t, "omega1": o1, "omega2": o2} for t, o1, o2 in _FIG2_COMBOS],
-        "gamma2": gamma2,
-        "gamma3_scheme_i": gamma3,
-    }
-    return tables, meta
+              for c, column in zip(t["combos"], columns)]
+    return tables, {"samples": samples, "gamma3_scheme_i": gamma3}
 
 
 # ---------------------------------------------------------------------------
-# fig3: concurrence over (two-photon detuning, omega1 - omega2)
+# fig3: concurrence over (two-photon detuning, omega1 - omega2); fig3a is
+# scheme II, fig3b scheme I
+
+_FIG3 = {
+    "delta_range": (-6.0, 6.0),
+    "delta_is": "delta1 (delta2 = 0)",
+    "omega1_minus_omega2_range": (-4.0, 4.0),
+    "omega2": 6.0,
+}
 
 
-def _run_fig3(recipe_id, samples, jobs, gamma2, gamma3):
-    scheme = "II" if recipe_id == "fig3a" else "I"
-    g3 = 0.0 if scheme == "II" else gamma3
-    deltas = np.linspace(*_FIG3_DELTA, samples)
-    doms = np.linspace(*_FIG3_DOMEGA, samples)
-    payloads = [(PathSpec(SystemParams(_FIG3_OMEGA2 + dom, _FIG3_OMEGA2, 0.0, 0.0, gamma2, g3),
-                          "delta1", *_FIG3_DELTA, samples), ("concurrence",))
-                for dom in doms]
-    table = grid_rows(deltas, doms, map_columns(_column_outputs, payloads, jobs))
-    meta = {
-        "recipe": recipe_id,
-        "scheme": scheme,
-        "delta_range": list(_FIG3_DELTA),
-        "delta_is": "delta1 (delta2 = 0)",
-        "omega1_minus_omega2_range": list(_FIG3_DOMEGA),
-        "omega2": _FIG3_OMEGA2,
-        "samples_per_axis": samples,
-        "gamma2": gamma2,
-        "gamma3": g3,
-    }
-    return [(f"{recipe_id}.csv", ["delta", "omega1_minus_omega2", "concurrence"], *table)], meta
+def _run_fig3(recipe_id, t, samples, jobs, gamma2, gamma3):
+    g3 = 0.0 if t["scheme"] == "II" else gamma3
+    doms = np.linspace(*t["omega1_minus_omega2_range"], samples)
+    bases = [SystemParams(t["omega2"] + dom, t["omega2"], 0.0, 0.0, gamma2, g3) for dom in doms]
+    deltas, columns = _delta1_columns(bases, t["delta_range"], samples, ("concurrence",), jobs)
+    table = grid_rows(deltas, doms, columns)
+    return [(f"{recipe_id}.csv", ["delta", "omega1_minus_omega2", "concurrence"], *table)], \
+        {"samples_per_axis": samples, "gamma3": g3}
 
 
 # ---------------------------------------------------------------------------
 # fig4: derivative of the near-resonance phase over (delta offset, dX offset)
 
+# derivative-surface windows around (delta_bar = 0, X0); the drive strength is
+# chosen so the closed-form slope contrast between the windows is resolved
+_FIG4 = {
+    "windows": {"separable": 0.0, "bell": math.pi / 4.0},
+    "delta_offset_range": (-0.5, 0.5),
+    "dX_range": (-0.3, 0.3),
+    "dX_samples": 13,
+    "omega2": 2.0,
+    "variants": {
+        "ideal": "closed-form second-order expansion at the window base point",
+        "scheme2": "two-point phase of the dominant eigenvector of the ideal-system "
+                   "steady state vs the window base state, |00>-component gauge",
+        "scheme1": "same construction for the real system (emitted for inspection)",
+    },
+    "note": "dgamma_dDelta is d(phase)/d(delta_bar) along the delta axis at fixed dX",
+}
 
-def _fig4_ideal_column(x0, dx, gamma2, deltas):
-    g21 = gamma2 * math.cos(x0) / (2.0 * _FIG4_OMEGA2)
-    gammas = unwrap_phases([taylor_gp(x0, d, dx, g21) for d in deltas])
-    return [[v] for v in gp_derivative(gammas, deltas[1] - deltas[0])]
+
+def _fig4_slopes(gammas, deltas):
+    return [[v] for v in gp_derivative(unwrap_phases(gammas), deltas[1] - deltas[0])]
+
+
+def _fig4_ideal_column(x0, dx, omega2, gamma2, deltas):
+    g21 = gamma2 * math.cos(x0) / (2.0 * omega2)
+    return _fig4_slopes([taylor_gp(x0, d, dx, g21) for d in deltas], deltas)
 
 
 def _fig4_dominant_vector(p: SystemParams) -> np.ndarray:
@@ -147,120 +127,102 @@ def _fig4_dominant_vector(p: SystemParams) -> np.ndarray:
     return fix_global_phase(hermitian_eig(rho).eigenvectors[:, -1], pivot=0)
 
 
-def _fig4_numeric_column(x0, dx, gamma2, gamma3, deltas, ref):
+def _fig4_numeric_column(x0, dx, omega2, gamma2, gamma3, deltas, ref):
     x = x0 + dx
     if x < 0.0 or x >= math.pi / 2.0 - 1e-12:
         return [[None]] * len(deltas)
-    o1 = math.tan(x) * _FIG4_OMEGA2
-    w = math.hypot(o1, _FIG4_OMEGA2)
-    gammas = []
-    for d in deltas:
-        p = SystemParams(o1, _FIG4_OMEGA2, d * w, 0.0, gamma2, gamma3)
-        try:
-            gammas.append(pancharatnam_phase(ref, _fig4_dominant_vector(p)))
-        except (DegenerateSteadyStateError, NoSteadyStateError, UndefinedPhaseError):
-            gammas.append(None)
-    if any(g is None for g in gammas):
+    o1 = math.tan(x) * omega2
+    w = math.hypot(o1, omega2)
+    try:
+        gammas = [pancharatnam_phase(ref, _fig4_dominant_vector(SystemParams(o1, omega2, d * w, 0.0, gamma2, gamma3)))
+                  for d in deltas]
+    except (DegenerateSteadyStateError, NoSteadyStateError, UndefinedPhaseError):
         return [[None]] * len(deltas)
-    gammas = unwrap_phases(gammas)
-    return [[v] for v in gp_derivative(gammas, deltas[1] - deltas[0])]
+    return _fig4_slopes(gammas, deltas)
 
 
-def _run_fig4(samples, jobs, gamma2, gamma3):
-    deltas = np.linspace(*_FIG4_DELTA, samples)
-    dxs = np.linspace(*_FIG4_DX, _FIG4_DX_SAMPLES)
+def _run_fig4(recipe_id, t, samples, jobs, gamma2, gamma3):
+    deltas = np.linspace(*t["delta_offset_range"], samples)
+    dxs = np.linspace(*t["dX_range"], t["dX_samples"])
+    o2 = t["omega2"]
     tables = []
-    for window, x0 in _FIG4_WINDOWS:
-        payloads = [(x0, dx, gamma2, deltas) for dx in dxs]
-        surfaces = {"ideal": map_columns(_fig4_ideal_column, payloads, jobs)}
+    for window, x0 in t["windows"].items():
+        surfaces = {"ideal": map_columns(_fig4_ideal_column, [(x0, dx, o2, gamma2, deltas) for dx in dxs], jobs)}
         for variant, g3 in (("scheme2", 0.0), ("scheme1", gamma3)):
-            base = SystemParams(math.tan(x0) * _FIG4_OMEGA2, _FIG4_OMEGA2, 0.0, 0.0, gamma2, g3)
-            ref = _fig4_dominant_vector(base)
-            payloads = [(x0, dx, gamma2, g3, deltas, ref) for dx in dxs]
+            ref = _fig4_dominant_vector(SystemParams(math.tan(x0) * o2, o2, 0.0, 0.0, gamma2, g3))
+            payloads = [(x0, dx, o2, gamma2, g3, deltas, ref) for dx in dxs]
             surfaces[variant] = map_columns(_fig4_numeric_column, payloads, jobs)
         for variant, columns in surfaces.items():
             tables.append((f"fig4_{window}_{variant}.csv", ["delta_offset", "dX", "dgamma_dDelta"],
                            *grid_rows(deltas, dxs, columns)))
-    meta = {
-        "recipe": "fig4",
-        "windows": {w: x0 for w, x0 in _FIG4_WINDOWS},
-        "delta_offset_range": list(_FIG4_DELTA),
-        "dX_range": list(_FIG4_DX),
-        "delta_samples": samples,
-        "dX_samples": _FIG4_DX_SAMPLES,
-        "omega2": _FIG4_OMEGA2,
-        "gamma2": gamma2,
-        "gamma3_scheme1": gamma3,
-        "variants": {
-            "ideal": "closed-form second-order expansion at the window base point",
-            "scheme2": "two-point phase of the dominant eigenvector of the ideal-system "
-                       "steady state vs the window base state, |00>-component gauge",
-            "scheme1": "same construction for the real system (emitted for inspection)",
-        },
-        "note": "dgamma_dDelta is d(phase)/d(delta_bar) along the delta axis at fixed dX",
-    }
-    return tables, meta
+    return tables, {"delta_samples": samples, "gamma3_scheme1": gamma3}
 
 
 # ---------------------------------------------------------------------------
 # fig5: gamma_g and its derivative along delta1
 
+_FIG5 = {
+    "scheme": "I",
+    "delta1_range": (-3.0, 3.0),
+    "panels": tuple({"file": f"fig5_{tag}.csv", "omega1": o1, "omega2": o2, "delta2": d2} for tag, o1, o2, d2 in (
+        ("ab", 6.0, 6.0, 0.0), ("cd", 3.0, 6.0, 0.0), ("ef", 6.0, 3.0, 0.0), ("gh", 6.0, 6.0, 3.0),
+        ("ij", 1.5, 6.0, 0.0))),
+    "anchor": "gamma_g = 0 at delta1 = -3",
+}
 
-def _run_fig5(samples, jobs, gamma2, gamma3):
-    deltas = np.linspace(*_FIG5_DELTA1, samples)
-    payloads = [(PathSpec(SystemParams(o1, o2, 0.0, d2, gamma2, gamma3), "delta1", *_FIG5_DELTA1, samples),
-                 ("gamma_g", "dgamma"))
-                for _, o1, o2, d2 in _FIG5_SETS]
-    columns = map_columns(_column_outputs, payloads, jobs)
-    tables = [(f"fig5_{tag}.csv", ["delta1", "gamma_g", "dgamma"], *grid_rows(deltas, [None], [column]))
-              for (tag, *_), column in zip(_FIG5_SETS, columns)]
-    meta = {
-        "recipe": "fig5",
-        "scheme": "I",
-        "delta1_range": list(_FIG5_DELTA1),
-        "samples": samples,
-        "panels": [{"file": f"fig5_{t}.csv", "omega1": o1, "omega2": o2, "delta2": d2}
-                   for t, o1, o2, d2 in _FIG5_SETS],
-        "gamma2": gamma2,
-        "gamma3": gamma3,
-        "anchor": "gamma_g = 0 at delta1 = -3",
-    }
-    return tables, meta
+
+def _run_fig5(recipe_id, t, samples, jobs, gamma2, gamma3):
+    bases = [SystemParams(p["omega1"], p["omega2"], 0.0, p["delta2"], gamma2, gamma3) for p in t["panels"]]
+    deltas, columns = _delta1_columns(bases, t["delta1_range"], samples, ("gamma_g", "dgamma"), jobs)
+    tables = [(p["file"], ["delta1", "gamma_g", "dgamma"], *grid_rows(deltas, [None], [column]))
+              for p, column in zip(t["panels"], columns)]
+    return tables, {"samples": samples, "gamma3": gamma3}
 
 
 # ---------------------------------------------------------------------------
-# fig6: stability of the full-sweep gamma_g under parameter fluctuations
+# fig6: stability of the full-sweep gamma_g of fig5 panel a under parameter
+# fluctuations
+
+_FIG6 = {
+    "cell": "percent change of the endpoint gamma_g of the delta1 in [-3, 3] sweep "
+            "(omega1 = omega2 = 6 reference, scheme I) when omega1 -> 6 + x and "
+            "the two-photon detuning is offset through delta2 = y",
+    "delta_fluctuation_range": (-2.0, 2.0),
+    "omega_fluctuation_range": (-1.0, 1.0),
+    "grid": (21, 21),
+}
 
 
-def _run_fig6(samples, jobs, gamma2, gamma3):
-    doms = np.linspace(*_FIG6_OMFLUCT, _FIG6_GRID)
-    dfls = np.linspace(*_FIG6_DFLUCT, _FIG6_GRID)
-    payloads = [(PathSpec(SystemParams(_FIG6_OMEGA2 + dom, _FIG6_OMEGA2, 0.0, dfl, gamma2, gamma3),
-                          "delta1", *_FIG5_DELTA1, samples), ("gamma_g",))
-                for dom in doms for dfl in dfls]
+def _run_fig6(recipe_id, t, samples, jobs, gamma2, gamma3):
+    n_om, n_dl = t["grid"]
+    doms = np.linspace(*t["omega_fluctuation_range"], n_om)
+    dfls = np.linspace(*t["delta_fluctuation_range"], n_dl)
+    panel = _FIG5["panels"][0]
+    bases = [SystemParams(panel["omega1"] + dom, panel["omega2"], 0.0, dfl, gamma2, gamma3)
+             for dom in doms for dfl in dfls]
+    _, columns = _delta1_columns(bases, _FIG5["delta1_range"], samples, ("gamma_g",), jobs)
     # a cell is the endpoint gamma_g of its delta1 column; cells[i_dom][i_dfl]
-    ends = [column[-1][0] for column in map_columns(_column_outputs, payloads, jobs)]
-    cells = [ends[i:i + _FIG6_GRID] for i in range(0, len(ends), _FIG6_GRID)]
-    base = cells[_FIG6_GRID // 2][_FIG6_GRID // 2]  # the unperturbed reference at (0, 0)
+    ends = [column[-1][0] for column in columns]
+    cells = [ends[i:i + n_dl] for i in range(0, len(ends), n_dl)]
+    base = cells[n_om // 2][n_dl // 2]  # the unperturbed reference at (0, 0)
     if base is None or abs(base) < 1e-12:
         raise NoSteadyStateError("fig6 reference sweep produced no usable gamma_g")
     columns = [[[None if g is None else (g - base) / abs(base) * 100.0] for g in column]
                for column in cells]
     table = grid_rows(dfls, doms, columns)
-    meta = {
-        "recipe": "fig6",
-        "cell": "percent change of the endpoint gamma_g of the delta1 in [-3, 3] sweep "
-                "(omega1 = omega2 = 6 reference, scheme I) when omega1 -> 6 + x and "
-                "the two-photon detuning is offset through delta2 = y",
-        "delta_fluctuation_range": list(_FIG6_DFLUCT),
-        "omega_fluctuation_range": list(_FIG6_OMFLUCT),
-        "grid": [_FIG6_GRID, _FIG6_GRID],
-        "path_samples": samples,
-        "gamma2": gamma2,
-        "gamma3": gamma3,
-        "reference_gamma_g": base,
-    }
-    return [("fig6.csv", ["delta", "omega1_minus_omega2", "gamma_g_change_percent"], *table)], meta
+    return [("fig6.csv", ["delta", "omega1_minus_omega2", "gamma_g_change_percent"], *table)], \
+        {"path_samples": samples, "gamma3": gamma3, "reference_gamma_g": base}
+
+
+# recipe id: (run, frozen-input table)
+_RECIPES = {
+    "fig2": (_run_fig2, _FIG2),
+    "fig3a": (_run_fig3, {**_FIG3, "scheme": "II"}),
+    "fig3b": (_run_fig3, {**_FIG3, "scheme": "I"}),
+    "fig4": (_run_fig4, _FIG4),
+    "fig5": (_run_fig5, _FIG5),
+    "fig6": (_run_fig6, _FIG6),
+}
 
 
 def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
@@ -275,10 +237,11 @@ def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
         raise ValueError(f"{recipe_id} needs samples >= {MIN_SAMPLES[recipe_id]}, got {samples}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if recipe_id in ("fig3a", "fig3b"):
-        tables, meta = _run_fig3(recipe_id, samples, jobs, gamma2, gamma3)
-    else:
-        run = {"fig2": _run_fig2, "fig4": _run_fig4, "fig5": _run_fig5, "fig6": _run_fig6}[recipe_id]
-        tables, meta = run(samples, jobs, gamma2, gamma3)
+    run, table = _RECIPES[recipe_id]
+    tables, entries = run(recipe_id, table, samples, jobs, gamma2, gamma3)
     files, undefined = write_tables(out_dir, tables, "recipe")
-    return RecipeResult(files + [_write_meta(out_dir, recipe_id, meta)], undefined)
+    meta = out_dir / f"{recipe_id}_meta.json"
+    with open(meta, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump({**table, **entries, "recipe": recipe_id, "gamma2": gamma2}, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return RecipeResult(files + [meta], undefined)

@@ -72,9 +72,14 @@ class SweepSpec:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not self.outputs:
             raise ConfigError("at least one output is required")
-        for out in self.outputs:
+        for i, out in enumerate(self.outputs):
             if out not in OUTPUT_KINDS:
                 raise ConfigError(f"unknown output {out!r}")
+            if out in self.outputs[:i]:
+                raise ConfigError(f"duplicate output {out!r}")
+        # the CSV is written inside the output directory, so path names a file there
+        if self.path in ("", ".", "..") or Path(self.path).name != self.path:
+            raise ConfigError(f"path must be a plain file name, got {self.path!r}")
         if self.axis2 is not None and self.axis2.parameter == self.axis1.parameter:
             raise ConfigError("axis1 and axis2 must sweep different parameters")
         if "dgamma" in self.outputs and self.axis1.samples < 3:

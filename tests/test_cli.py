@@ -110,7 +110,7 @@ class TestUsageErrors:
         assert f"argument --jobs: {jobs!r} is not an integer >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("recipe_id", ["fig4", "fig5"])
+    @pytest.mark.parametrize("recipe_id", ["fig4", "fig5", "fig6"])
     def test_derivative_recipe_two_samples(self, recipe_id, tmp_path, capsys):
         code = run_cli(["recipe", recipe_id, "--samples", "2", "--out", str(tmp_path),
                         "--jobs", "1"])

@@ -1,10 +1,12 @@
-"""Every recipe's CSVs against stored reference CSVs.
+"""Every recipe's CSVs and sidecar against stored references.
 
 data/recipes/<id>/<name>.csv.gz is the <name>.csv written by
-`gpdiag recipe <id> --samples <n>` at the default rates, with n from CASES.
-Headers, row counts, empty (undefined) fields and the undefined-point count
-must match exactly.  Values must agree within TOLERANCE * max(1, |ref|),
-which holds across LAPACK builds while any real change of output shows.
+`gpdiag recipe <id> --samples <n>` at the default rates, with n from CASES,
+and data/recipes/<id>/<id>_meta.json is the sidecar of that run.  Headers,
+row counts, empty (undefined) fields and the undefined-point count must match
+exactly, and so must the sidecar's keys, strings, lists and number types.
+Values must agree within TOLERANCE * max(1, |ref|), which holds across LAPACK
+builds while any real change of output shows.
 
 After a deliberate change of output, regenerate the references with
 `PYTHONPATH=src python tests/test_recipe_golden.py` and report the moved
@@ -12,6 +14,7 @@ values.
 """
 
 import gzip
+import json
 import tempfile
 from pathlib import Path
 
@@ -35,6 +38,31 @@ def csv_files(result):
     return sorted(p for p in result.files if p.suffix == ".csv")
 
 
+def meta_file(result):
+    [path] = [p for p in result.files if p.name.endswith("_meta.json")]
+    return path
+
+
+def assert_close(a, b, where):
+    assert abs(float(a) - float(b)) <= TOLERANCE * max(1.0, abs(float(b))), f"{where}: {a} vs reference {b}"
+
+
+def assert_meta_matches(out, ref, where):
+    if isinstance(ref, dict):
+        assert isinstance(out, dict) and sorted(out) == sorted(ref), f"{where}: keys {sorted(out)}"
+        for key in ref:
+            assert_meta_matches(out[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, list):
+        assert isinstance(out, list) and len(out) == len(ref), f"{where}: {out!r} vs reference {ref!r}"
+        for i, (a, b) in enumerate(zip(out, ref)):
+            assert_meta_matches(a, b, f"{where}[{i}]")
+    elif type(ref) in (int, float):
+        assert type(out) is type(ref), f"{where}: {out!r} vs reference {ref!r}"
+        assert_close(out, ref, where)
+    else:
+        assert out == ref, f"{where}: {out!r} vs reference {ref!r}"
+
+
 @pytest.mark.parametrize("recipe_id", CASES)
 def test_recipe_matches_reference(recipe_id, tmp_path):
     samples, undefined = CASES[recipe_id]
@@ -53,8 +81,11 @@ def test_recipe_matches_reference(recipe_id, tmp_path):
                 if a == "" or b == "":
                     assert a == b, f"{where}: {a!r} vs reference {b!r}"
                 else:
-                    assert abs(float(a) - float(b)) <= TOLERANCE * max(1.0, abs(float(b))), \
-                        f"{where}: {a} vs reference {b}"
+                    assert_close(a, b, where)
+    meta = meta_file(result)
+    ref_meta = DATA / recipe_id / meta.name
+    assert_meta_matches(json.loads(meta.read_text(encoding="utf-8")),
+                        json.loads(ref_meta.read_text(encoding="utf-8")), meta.name)
 
 
 def regenerate():
@@ -66,6 +97,8 @@ def regenerate():
             for path in csv_files(result):
                 with gzip.GzipFile(DATA / recipe_id / f"{path.name}.gz", "wb", mtime=0) as out:
                     out.write(path.read_bytes())
+            meta = meta_file(result)
+            (DATA / recipe_id / meta.name).write_bytes(meta.read_bytes())
 
 
 if __name__ == "__main__":

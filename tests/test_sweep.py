@@ -119,9 +119,17 @@ class TestParseConfig:
          "axis span stop - start must be finite"),
         (MINIMAL.replace("[sweep]", "[sweep]\ndelta2 = 1e308").replace("stop = 1\n", "stop = 1e308\n"),
          "grid corner delta1 = 1e\\+308: delta1 \\+ delta2 must be finite"),
+        (MINIMAL.replace("outputs = purity", "outputs = purity, purity, concurrence"), "duplicate output 'purity'"),
+        (MINIMAL.replace("[sweep]", "[sweep]\npath = /abs/escaped.csv"), "plain file name, got '/abs/escaped.csv'"),
+        (MINIMAL.replace("[sweep]", "[sweep]\npath = sub/out.csv"), "plain file name, got 'sub/out.csv'"),
+        (MINIMAL.replace("[sweep]", "[sweep]\npath = ../out.csv"), "plain file name, got '../out.csv'"),
+        (MINIMAL.replace("[sweep]", "[sweep]\npath ="), "plain file name, got ''"),
+        (MINIMAL.replace("[sweep]", "[sweep]\npath = .."), "plain file name, got '..'"),
     ], ids=["non_numeric", "non_finite", "no_header", "no_sweep", "unknown_scheme",
             "missing_axis_key", "non_integer_samples", "empty_outputs",
-            "negative_drive_axis", "infinite_axis_span", "detuning_sum_overflow"])
+            "negative_drive_axis", "infinite_axis_span", "detuning_sum_overflow",
+            "duplicate_output", "absolute_path", "path_in_subdirectory", "path_in_parent", "empty_path",
+            "parent_directory_path"])
     def test_rejected_config(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
