@@ -14,7 +14,6 @@ visibility.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +49,8 @@ class PathSpec:
             raise ValueError(f"unknown path parameter {self.varying!r}; expected one of {SWEEPABLE}")
         if not (self.start < self.stop):
             raise ValueError(f"start must be < stop, got [{self.start}, {self.stop}]")
+        if not np.isfinite(self.stop - self.start):
+            raise ValueError(f"span stop - start must be finite, got [{self.start}, {self.stop}]")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         # parameter constraints are interval constraints, so endpoint validity
@@ -110,77 +111,58 @@ def sample_path(spec: PathSpec) -> list:
 
 
 def _greedy_match(overlaps: np.ndarray):
-    """Greedy maximal-overlap assignment with deterministic index tie-break.
+    """Greedy maximal-overlap assignment on every step of an (S, n, n) stack at once.
 
-    Returns (perm, ambiguous) where perm[a] is the column matched to row a.
-    Ambiguous is True when some selection had a competitor within tolerance.
+    Each of the n rounds takes, per step, the largest overlap among free rows
+    and columns; ties go to the row of larger eigenvalue, not of lower branch
+    label, which matters only for candidates in one row or column equal up to
+    rounding, and those set the flag.  Returns (perm, ambiguous): perm[s, a]
+    is the column matched to row a; ambiguous[s] is set when a selection of
+    step s had a competitor in its row or column within _AMBIGUITY_TOL.
     """
-    n = overlaps.shape[0]
-    perm = [-1] * n
-    free_rows = list(range(n))
-    free_cols = list(range(n))
-    ambiguous = False
+    steps, n, _ = overlaps.shape
+    s = np.arange(steps)
+    free = overlaps.copy()
+    perm = np.empty((steps, n), dtype=int)
+    ambiguous = np.zeros(steps, dtype=bool)
     for _ in range(n):
-        best_val = -1.0
-        best_pair = None
-        for a in free_rows:
-            for b in free_cols:
-                if overlaps[a, b] > best_val + 1e-15:
-                    best_val = overlaps[a, b]
-                    best_pair = (a, b)
-        a, b = best_pair
-        # a competing assignment in the same row or column within tolerance
-        # means the continuation is not resolved by this sampling
-        for c in free_cols:
-            if c != b and abs(overlaps[a, c] - best_val) < _AMBIGUITY_TOL:
-                ambiguous = True
-        for r in free_rows:
-            if r != a and abs(overlaps[r, b] - best_val) < _AMBIGUITY_TOL:
-                ambiguous = True
-        perm[a] = b
-        free_rows.remove(a)
-        free_cols.remove(b)
+        a, b = np.divmod(np.argmax(free.reshape(steps, -1), axis=1), n)
+        best = free[s, a, b][:, None]
+        # a competitor within tolerance in the pick's row or column leaves the
+        # continuation unresolved (the pick counts twice; taken lines hold -inf)
+        ambiguous |= (np.abs(np.hstack([free[s, a], free[s, :, b]]) - best) < _AMBIGUITY_TOL).sum(axis=1) > 2
+        perm[s, a] = b
+        free[s, a] = -np.inf
+        free[s, :, b] = -np.inf
     return perm, ambiguous
 
 
 def track_spectrum(states) -> SpectralTrajectory:
-    """Eigen-decompose each state and continue the branches along the path.
+    """Eigen-decompose the whole path at once and continue the branches along it.
 
     Branches are matched between consecutive points by the greedy assignment
-    on the overlap-magnitude matrix, so a branch follows its eigenvector
-    through eigenvalue crossings.  A branch whose eigenvalue is below
-    EPS_LAMBDA at either endpoint carries no weight and is left out of
-    kept_branches.  Each state must be Hermitian within HERMITICITY_TOL.
+    on the overlap-magnitude matrices (ties go to eigenvalue order at the
+    earlier point, see _greedy_match), so a branch follows its eigenvector
+    through eigenvalue crossings; its columns follow by composing the step
+    permutations.  A branch whose eigenvalue is below EPS_LAMBDA at either
+    endpoint carries no weight and is left out of kept_branches.  Each state
+    must be Hermitian within HERMITICITY_TOL.
     """
     if len(states) < 2:
         raise ValueError("need at least 2 states to track a spectrum")
-    m = len(states)
-    n = states[0].shape[0]
-    lam = np.empty((m, n))
-    vecs = np.empty((m, n, n), dtype=complex)
-    for j, rho in enumerate(states):
-        w, v = hermitian_eig(rho)
-        lam[j] = w[::-1]
-        vecs[j] = v[:, ::-1]
-    warning = False
-    min_overlap = 1.0
-    spacing = max(
-        float(np.linalg.norm(states[j + 1] - states[j])) for j in range(m - 1)
-    )
-    bound = 1.0 - 10.0 * spacing * spacing
-    for j in range(m - 1):
-        overlaps = np.abs(vecs[j].conj().T @ vecs[j + 1])
-        perm, ambiguous = _greedy_match(overlaps)
-        warning = warning or ambiguous
-        vecs[j + 1] = vecs[j + 1][:, perm]
-        lam[j + 1] = lam[j + 1][perm]
-        matched = min(overlaps[a, perm[a]] for a in range(n))
-        min_overlap = min(min_overlap, matched)
-    if min_overlap < bound:
-        warning = True
-    kept = tuple(
-        k for k in range(n) if lam[0, k] >= EPS_LAMBDA and lam[-1, k] >= EPS_LAMBDA
-    )
+    rhos = np.asarray(states, dtype=complex)
+    lam, vecs = (x[..., ::-1] for x in hermitian_eig(rhos))
+    overlaps = np.abs(vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:])
+    perm, ambiguous = _greedy_match(overlaps)
+    min_overlap = min(1.0, float(np.take_along_axis(overlaps, perm[:, :, None], axis=2).min()))
+    spacing = np.linalg.norm(np.diff(rhos, axis=0), axis=(1, 2)).max()
+    warning = bool(ambiguous.any() or min_overlap < 1.0 - 10.0 * spacing * spacing)
+    cols = [np.arange(lam.shape[1])]
+    for step in perm:
+        cols.append(step[cols[-1]])
+    lam = np.take_along_axis(lam, np.array(cols), axis=1)
+    vecs = np.take_along_axis(vecs, np.array(cols)[:, None, :], axis=2)
+    kept = tuple(int(k) for k in np.flatnonzero((lam[0] >= EPS_LAMBDA) & (lam[-1] >= EPS_LAMBDA)))
     return SpectralTrajectory(lam, vecs, kept, warning, min_overlap)
 
 
@@ -191,20 +173,18 @@ def _prefix_terms(traj: SpectralTrajectory) -> np.ndarray:
     k = kept_branches[b], with z_k taken over the prefix; row 0 holds
     lambda_k(0).  Raises UndefinedPhaseError when no branch carries weight.
     """
-    lam, vecs, kept = traj.eigenvalues, traj.eigenvectors, traj.kept_branches
+    kept = list(traj.kept_branches)
     if not kept:
         raise UndefinedPhaseError("no branch carries weight at both endpoints")
-    m = lam.shape[0]
-    terms = np.empty((m, len(kept)), dtype=complex)
-    terms[0] = lam[0, list(kept)]
-    acc = [0.0] * len(kept)
-    for j in range(1, m):
-        for b, k in enumerate(kept):
-            step = np.vdot(vecs[j - 1][:, k], vecs[j][:, k])
-            acc[b] += math.atan2(step.imag, step.real)
-            z = np.vdot(vecs[0][:, k], vecs[j][:, k]) * np.exp(-1j * acc[b])
-            terms[j, b] = math.sqrt(max(lam[0, k], 0.0) * max(lam[j, k], 0.0)) * z
-    return terms
+    lam = traj.eigenvalues[:, kept]
+    kets = traj.eigenvectors[:, :, kept].swapaxes(1, 2)[..., None]
+    bras = kets.conj().swapaxes(-1, -2)
+    # (1, n) @ (n, 1) matmuls are np.vdot's sum, bitwise
+    steps = (bras[:-1] @ kets[1:])[..., 0, 0]
+    ends = (bras[0] @ kets[1:])[..., 0, 0]
+    z = ends * np.exp(-1j * np.cumsum(np.angle(steps), axis=0))
+    weights = np.sqrt(np.maximum(lam[0], 0.0) * np.maximum(lam[1:], 0.0))
+    return np.concatenate([lam[:1], weights * z])
 
 
 def mixed_state_gp(traj: SpectralTrajectory) -> GeometricPhaseResult:
@@ -252,28 +232,23 @@ def fix_global_phase(psi: np.ndarray, pivot: int = 0) -> np.ndarray:
 
 
 def unwrap_phases(values):
-    """Shift consecutive jumps larger than pi by multiples of 2 pi; None entries pass through."""
-    out = list(values)
-    defined = [i for i, g in enumerate(out) if g is not None]
-    if len(defined) < 2:
-        return out
-    seq = np.unwrap(np.array([out[i] for i in defined], dtype=float))
-    for i, g in zip(defined, seq):
-        out[i] = float(g)
-    return out
+    """Shift consecutive jumps larger than pi by multiples of 2 pi; None (or nan) gaps come out as None."""
+    phases = np.array(values, dtype=float)
+    defined = ~np.isnan(phases)
+    phases[defined] = np.unwrap(phases[defined])
+    return np.where(defined, phases, None).tolist()
 
 
 def gp_curve_from_states(states) -> list:
     """gamma_g of every prefix of a sampled path, anchored to zero at the start.
 
-    The spectral trajectory (and its branch matching) is built once; each
-    prefix reuses it.  Undefined-phase points are None gaps.  The defined
-    points are phase-unwrapped in path order.
+    The spectral trajectory is built once and every prefix reuses it.
+    Undefined-phase points are None gaps; the defined points are unwrapped in
+    path order.  The branch columns are summed in order, as mixed_state_gp
+    sums its terms, so the last point equals mixed_state_gp bitwise.
     """
-    # sum() adds the branches in order, as mixed_state_gp does, so the last
-    # point equals mixed_state_gp bitwise
-    totals = [sum(row) for row in _prefix_terms(track_spectrum(states))]
-    return unwrap_phases([float(np.angle(t)) if abs(t) > EPS_VIS else None for t in totals])
+    totals = sum(_prefix_terms(track_spectrum(states)).T)
+    return unwrap_phases(np.where(np.abs(totals) > EPS_VIS, np.angle(totals), np.nan))
 
 
 def gp_derivative(gammas, h) -> list:
@@ -281,11 +256,11 @@ def gp_derivative(gammas, h) -> list:
 
     Central differences inside, second-order one-sided differences at the ends.
     """
-    if len(gammas) < 3:
-        raise ValueError("need at least 3 points to differentiate")
-    if any(g is None for g in gammas):
-        raise ValueError("phases contain undefined points; filter gaps before differentiating")
     g = np.array(gammas, dtype=float)
+    if len(g) < 3:
+        raise ValueError("need at least 3 points to differentiate")
+    if np.isnan(g).any():
+        raise ValueError("phases contain undefined points; filter gaps before differentiating")
     d = np.empty_like(g)
     d[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
     d[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)

@@ -33,15 +33,15 @@ class DegenerateSteadyStateError(RuntimeError):
 
 
 class EigenSystem(NamedTuple):
-    """Eigenvalues in ascending order; eigenvectors[:, k] pairs with eigenvalues[k]."""
+    """Eigenvalues in ascending order; eigenvectors[..., :, k] pairs with eigenvalues[..., k]."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _as_square_complex(a) -> np.ndarray:
+def _as_square_complex(a, stack=False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ContractViolationError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ContractViolationError("matrix has non-finite entries")
@@ -49,17 +49,19 @@ def _as_square_complex(a) -> np.ndarray:
 
 
 def hermitian_eig(a) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of an (..., n, n) stack of them.
 
-    Raises ContractViolationError if max |A - A^dag| exceeds HERMITICITY_TOL.
-    Output is deterministic for identical input (LAPACK zheevd order:
-    ascending eigenvalues, orthonormal columns).
+    Raises ContractViolationError if max |A - A^dag| over the stack exceeds
+    HERMITICITY_TOL.  Output is deterministic for identical input (LAPACK
+    zheevd order: ascending eigenvalues, orthonormal columns), and each
+    member of a stack decomposes exactly as it does alone.
     """
-    a = _as_square_complex(a)
-    dev = np.max(np.abs(a - a.conj().T))
+    a = _as_square_complex(a, stack=True)
+    a_dag = a.conj().swapaxes(-1, -2)
+    dev = np.max(np.abs(a - a_dag))
     if dev > HERMITICITY_TOL:
         raise ContractViolationError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    w, v = np.linalg.eigh(0.5 * (a + a_dag))
     return EigenSystem(w, v)
 
 

@@ -11,7 +11,6 @@ count.
 from __future__ import annotations
 
 import configparser
-import io
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -160,26 +159,6 @@ def parse_config(text: str) -> SweepSpec:
     axis1 = axis_from("axis1")
     axis2 = axis_from("axis2") if "axis2" in parser else None
     return SweepSpec(scheme, base, axis1, axis2, outputs, path)
-
-
-def serialize_config(spec: SweepSpec) -> str:
-    """Canonical config text; parse(serialize(parse(x))) == parse(x)."""
-    out = io.StringIO()
-    out.write("[sweep]\n")
-    out.write(f"scheme = {spec.scheme}\n")
-    out.write(f"path = {spec.path}\n")
-    out.write(f"outputs = {', '.join(spec.outputs)}\n")
-    for key in _PARAM_KEYS:
-        out.write(f"{key} = {getattr(spec.base, key)!r}\n")
-    for name, axis in (("axis1", spec.axis1), ("axis2", spec.axis2)):
-        if axis is None:
-            continue
-        out.write(f"\n[{name}]\n")
-        out.write(f"parameter = {axis.parameter}\n")
-        out.write(f"start = {axis.start!r}\n")
-        out.write(f"stop = {axis.stop!r}\n")
-        out.write(f"samples = {axis.samples}\n")
-    return out.getvalue()
 
 
 def format_field(value) -> str:

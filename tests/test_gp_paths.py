@@ -1,0 +1,107 @@
+"""Whole-path spectral tracking against the sequential oracle, and path validation.
+
+`tracking_oracle` decomposes and matches one sample at a time.  On paths whose
+greedy matches are unambiguous the stacked tracker must reproduce it exactly;
+on ambiguous paths both must raise the resolution warning.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tracking_oracle as oracle
+from gpdiag.cascade import SystemParams
+from gpdiag.gp import PathSpec, UndefinedPhaseError, _prefix_terms, track_spectrum
+
+
+def _probabilities(rng, n):
+    p = rng.uniform(0.0, 1.0, n)
+    return p / p.sum()
+
+
+def _unitary_path(rng, n, m):
+    """rho(t) = U(t) D(t) U(t)^dag with U(t) = exp(i t H) and D(t) linear, so eigenvalues may cross."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    d0, d1 = _probabilities(rng, n), _probabilities(rng, n)
+    states = []
+    for t in np.linspace(0.0, rng.uniform(0.1, 3.0), m):
+        u = (v * np.exp(1j * t * w)) @ v.conj().T
+        rho = u @ np.diag((1.0 - t) * d0 + t * d1) @ u.conj().T
+        states.append(0.5 * (rho + rho.conj().T))
+    return states
+
+
+def _diagonal_crossing_path(rng, n, m):
+    """Diagonal states whose first two eigenvalues cross exactly at a sample."""
+    rest = _probabilities(rng, n)[2:] * 0.5
+    centre, slope = (1.0 - rest.sum()) / 2.0, rng.uniform(0.05, 0.2)
+    cross = rng.integers(0, m)
+    states = []
+    for j in range(m):
+        x = slope * (j - cross) / m
+        states.append(np.diag([centre + x, centre - x, *rest]).astype(complex))
+    return states
+
+
+def _rotation_path(rng, n, m):
+    """A fixed diagonal state, then the same state rotated by 45 degrees in one plane."""
+    rho0 = np.diag(_probabilities(rng, n)).astype(complex)
+    i, k = rng.choice(n, size=2, replace=False)
+    c = s = math.sqrt(0.5)
+    u = np.eye(n)
+    u[i, i], u[i, k], u[k, i], u[k, k] = c, -s, s, c
+    turn = rng.integers(1, m)
+    return [rho0] * turn + [u @ rho0 @ u.T] * (m - turn)
+
+
+_PATHS = {"unitary": _unitary_path, "crossing": _diagonal_crossing_path, "rotation": _rotation_path}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_PATHS)), n=st.sampled_from([2, 3]), m=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_tracking_matches_sequential_oracle(kind, n, m, seed):
+    states = _PATHS[kind](np.random.default_rng(seed), n, m)
+    ref, ambiguous = oracle.track_spectrum(states)
+    traj = track_spectrum(states)
+    # plain Python types, as the per-sample tracker returned, so records stay JSON-serializable
+    assert type(traj.resolution_warning) is bool and type(traj.min_overlap) is float
+    assert traj.resolution_warning == ref.resolution_warning
+    if ambiguous:
+        assert traj.resolution_warning
+        return
+    np.testing.assert_array_equal(traj.eigenvalues, ref.eigenvalues)
+    np.testing.assert_array_equal(traj.eigenvectors, ref.eigenvectors)
+    assert traj.kept_branches == ref.kept_branches
+    assert traj.min_overlap == ref.min_overlap
+    if not ref.kept_branches:
+        with pytest.raises(UndefinedPhaseError):
+            _prefix_terms(traj)
+        return
+    assert np.max(np.abs(_prefix_terms(traj) - oracle.prefix_terms(ref))) <= 1e-15
+
+
+def test_rotation_by_45_degrees_is_ambiguous_in_both():
+    c = s = math.sqrt(0.5)
+    u = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    states = [rho0, rho0, u @ rho0 @ u.T, u @ rho0 @ u.T]
+    ref, ambiguous = oracle.track_spectrum(states)
+    assert ambiguous and ref.resolution_warning and track_spectrum(states).resolution_warning
+
+
+def test_crossing_labels_compose_across_later_steps():
+    states = [np.diag([0.6 - x, 0.3 + x, 0.1]).astype(complex) for x in (0.0, 0.1, 0.3, 0.4, 0.5)]
+    traj = track_spectrum(states)
+    # branch 0 stays on e0 through the crossing and every step after it
+    np.testing.assert_array_equal(np.abs(traj.eigenvectors[:, 0, 0]), 1.0)
+    np.testing.assert_allclose(traj.eigenvalues[:, 0], [0.6, 0.5, 0.3, 0.2, 0.1], atol=1e-15)
+
+
+def test_path_span_must_be_finite():
+    with pytest.raises(ValueError, match=r"span stop - start must be finite, got \[-1e\+308, 1e\+308\]"):
+        PathSpec(SystemParams(6.0, 6.0), "delta1", -1e308, 1e308, 3)

@@ -126,3 +126,26 @@ def test_deterministic_for_identical_input(rng):
     w2, v2 = hermitian_eig(a.copy())
     np.testing.assert_array_equal(w1, w2)
     np.testing.assert_array_equal(v1, v2)
+
+
+def test_stack_equals_per_matrix_calls_bitwise(rng):
+    stack = np.array([random_hermitian(rng, 3) for _ in range(7)])
+    w, v = hermitian_eig(stack)
+    assert w.shape == (7, 3) and v.shape == (7, 3, 3)
+    for k, a in enumerate(stack):
+        wk, vk = hermitian_eig(a)
+        np.testing.assert_array_equal(w[k], wk)
+        np.testing.assert_array_equal(v[k], vk)
+
+
+def test_stack_with_one_non_hermitian_member_rejected(rng):
+    stack = np.array([random_hermitian(rng, 3) for _ in range(5)])
+    stack[3, 0, 1] += 1e-9
+    with pytest.raises(ContractViolationError, match="not Hermitian"):
+        hermitian_eig(stack)
+
+
+def test_null_space_rejects_stack():
+    ell = liouvillian(SystemParams.scheme_i(6.0, 6.0))
+    with pytest.raises(ContractViolationError, match="square matrix"):
+        null_space_unit_trace(np.array([ell, ell]))
