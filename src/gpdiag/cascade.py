@@ -140,9 +140,9 @@ def steady_state(p: SystemParams) -> np.ndarray:
     """Unique fixed point of the master equation, as a 3x3 atomic density matrix.
 
     Solved exactly from the null space of the Liouvillian.  Raises
-    DegenerateSteadyStateError / NoSteadyStateError from linops when the null
-    space is not one-dimensional, and NoSteadyStateError when the null vector
-    is not positive semidefinite.
+    NoSteadyStateError from linops when the null space is not one-dimensional
+    (DegenerateSteadyStateError, its subclass, when it is larger), and
+    NoSteadyStateError when the null vector is not positive semidefinite.
     """
     rho = null_space_unit_trace(liouvillian(p))
     low = float(np.linalg.eigvalsh(rho).min())

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
 from gpdiag.gp import UndefinedPhaseError
-from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
+from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 from gpdiag.recipes import MIN_SAMPLES, RECIPE_IDS, run_recipe
 from gpdiag.sweep import ConfigError, parse_config, run_sweep
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"gpdiag: i/o error: {err}", file=sys.stderr)
         return 1
-    except (NoSteadyStateError, DegenerateSteadyStateError, UndefinedPhaseError) as err:
+    except (NoSteadyStateError, UndefinedPhaseError) as err:
         print(f"gpdiag: numerical failure: {err}", file=sys.stderr)
         return 2
 

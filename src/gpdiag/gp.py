@@ -231,19 +231,19 @@ def fix_global_phase(psi: np.ndarray, pivot: int = 0) -> np.ndarray:
     return psi * (abs(psi[pivot]) / psi[pivot])
 
 
-def unwrap_phases(values):
-    """Shift consecutive jumps larger than pi by multiples of 2 pi; None (or nan) gaps come out as None."""
+def unwrap_phases(values) -> np.ndarray:
+    """Float array of the phases, jumps above pi shifted by multiples of 2 pi; NaN gaps pass through."""
     phases = np.array(values, dtype=float)
     defined = ~np.isnan(phases)
     phases[defined] = np.unwrap(phases[defined])
-    return np.where(defined, phases, None).tolist()
+    return phases
 
 
-def gp_curve_from_states(states) -> list:
-    """gamma_g of every prefix of a sampled path, anchored to zero at the start.
+def gp_curve_from_states(states) -> np.ndarray:
+    """gamma_g of every prefix of a sampled path, anchored to zero at the start, as a float array.
 
     The spectral trajectory is built once and every prefix reuses it.
-    Undefined-phase points are None gaps; the defined points are unwrapped in
+    Undefined-phase points are NaN gaps; the defined points are unwrapped in
     path order.  The branch columns are summed in order, as mixed_state_gp
     sums its terms, so the last point equals mixed_state_gp bitwise.
     """
@@ -251,8 +251,8 @@ def gp_curve_from_states(states) -> list:
     return unwrap_phases(np.where(np.abs(totals) > EPS_VIS, np.angle(totals), np.nan))
 
 
-def gp_derivative(gammas, h) -> list:
-    """d gamma / d s of gap-free phases sampled h apart.
+def gp_derivative(gammas, h) -> np.ndarray:
+    """d gamma / d s of gap-free phases sampled h apart, as a float array.
 
     Central differences inside, second-order one-sided differences at the ends.
     """
@@ -265,4 +265,4 @@ def gp_derivative(gammas, h) -> list:
     d[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
     d[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
     d[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * h)
-    return d.tolist()
+    return d

@@ -24,8 +24,8 @@ class NoSteadyStateError(RuntimeError):
     """No physical steady state: no usable null vector, or one that is not positive semidefinite."""
 
 
-class DegenerateSteadyStateError(RuntimeError):
-    """The superoperator null space has dimension >= 2."""
+class DegenerateSteadyStateError(NoSteadyStateError):
+    """The superoperator null space has dimension >= 2, so no steady state is unique."""
 
     def __init__(self, deficiency: int, message: str | None = None):
         self.deficiency = deficiency

@@ -32,19 +32,21 @@ def embed_two_qubit(rho3: np.ndarray) -> np.ndarray:
     return out
 
 
-def concurrence(rho3: np.ndarray) -> float:
-    """Concurrence 2 |rho_{00,11}| of the 3x3 two-photon state (atomic 2 |rho_13|).
+def concurrence(rho3: np.ndarray):
+    """Concurrence 2 |rho_{00,11}| of a 3x3 two-photon state (atomic 2 |rho_13|) or an (..., 3, 3) stack.
 
     With the |10> level empty, the spin-flip (Wootters) concurrence reduces
-    exactly to this.  Any other shape raises ContractViolationError.
+    exactly to this.  Any other trailing shape raises ContractViolationError.
+    hypot rounds as the scalar abs does; np.abs on an array can differ by one ulp.
     """
     rho3 = np.asarray(rho3)
-    if rho3.shape != (3, 3):
+    if rho3.shape[-2:] != (3, 3):
         raise ContractViolationError(f"expected a 3x3 two-photon state, got shape {rho3.shape}")
-    return 2.0 * float(abs(rho3[0, 2]))
+    z = rho3[..., 0, 2]
+    return 2.0 * np.hypot(z.real, z.imag)
 
 
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2); equals the squared Frobenius norm for Hermitian rho."""
+def purity(rho: np.ndarray):
+    """Tr(rho^2) of a matrix or of each member of an (..., n, n) stack (|rho|_F^2 if Hermitian)."""
     rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
+    return np.trace(rho @ rho, axis1=-2, axis2=-1).real

@@ -21,7 +21,7 @@ import numpy as np
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
 from gpdiag.gp import PathSpec, UndefinedPhaseError, fix_global_phase, gp_derivative, pancharatnam_phase, unwrap_phases
 from gpdiag.ideal import taylor_gp
-from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
+from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon
 from gpdiag.sweep import _column_outputs, grid_rows, map_columns, write_tables
 
@@ -113,7 +113,7 @@ _FIG4 = {
 
 
 def _fig4_slopes(gammas, deltas):
-    return [[v] for v in gp_derivative(unwrap_phases(gammas), deltas[1] - deltas[0])]
+    return gp_derivative(unwrap_phases(gammas), deltas[1] - deltas[0])[:, None]
 
 
 def _fig4_ideal_column(x0, dx, omega2, gamma2, deltas):
@@ -127,17 +127,19 @@ def _fig4_dominant_vector(p: SystemParams) -> np.ndarray:
     return fix_global_phase(hermitian_eig(rho).eigenvectors[:, -1], pivot=0)
 
 
-def _fig4_numeric_column(x0, dx, omega2, gamma2, gamma3, deltas, ref):
+def _fig4_numeric_column(x0, dx, omega2, gamma2, gamma3, deltas):
     x = x0 + dx
+    gaps = np.full((len(deltas), 1), np.nan)
     if x < 0.0 or x >= math.pi / 2.0 - 1e-12:
-        return [[None]] * len(deltas)
+        return gaps
     o1 = math.tan(x) * omega2
     w = math.hypot(o1, omega2)
     try:
+        ref = _fig4_dominant_vector(SystemParams(math.tan(x0) * omega2, omega2, 0.0, 0.0, gamma2, gamma3))
         gammas = [pancharatnam_phase(ref, _fig4_dominant_vector(SystemParams(o1, omega2, d * w, 0.0, gamma2, gamma3)))
                   for d in deltas]
-    except (DegenerateSteadyStateError, NoSteadyStateError, UndefinedPhaseError):
-        return [[None]] * len(deltas)
+    except (NoSteadyStateError, UndefinedPhaseError):
+        return gaps
     return _fig4_slopes(gammas, deltas)
 
 
@@ -149,8 +151,7 @@ def _run_fig4(recipe_id, t, samples, jobs, gamma2, gamma3):
     for window, x0 in t["windows"].items():
         surfaces = {"ideal": map_columns(_fig4_ideal_column, [(x0, dx, o2, gamma2, deltas) for dx in dxs], jobs)}
         for variant, g3 in (("scheme2", 0.0), ("scheme1", gamma3)):
-            ref = _fig4_dominant_vector(SystemParams(math.tan(x0) * o2, o2, 0.0, 0.0, gamma2, g3))
-            payloads = [(x0, dx, o2, gamma2, g3, deltas, ref) for dx in dxs]
+            payloads = [(x0, dx, o2, gamma2, g3, deltas) for dx in dxs]
             surfaces[variant] = map_columns(_fig4_numeric_column, payloads, jobs)
         for variant, columns in surfaces.items():
             tables.append((f"fig4_{window}_{variant}.csv", ["delta_offset", "dX", "dgamma_dDelta"],
@@ -201,15 +202,12 @@ def _run_fig6(recipe_id, t, samples, jobs, gamma2, gamma3):
     bases = [SystemParams(panel["omega1"] + dom, panel["omega2"], 0.0, dfl, gamma2, gamma3)
              for dom in doms for dfl in dfls]
     _, columns = _delta1_columns(bases, _FIG5["delta1_range"], samples, ("gamma_g",), jobs)
-    # a cell is the endpoint gamma_g of its delta1 column; cells[i_dom][i_dfl]
-    ends = [column[-1][0] for column in columns]
-    cells = [ends[i:i + n_dl] for i in range(0, len(ends), n_dl)]
-    base = cells[n_om // 2][n_dl // 2]  # the unperturbed reference at (0, 0)
-    if base is None or abs(base) < 1e-12:
+    # a cell is the endpoint gamma_g of its delta1 column; cells[i_dom, i_dfl]
+    cells = np.array([column[-1, 0] for column in columns]).reshape(n_om, n_dl)
+    base = float(cells[n_om // 2, n_dl // 2])  # the unperturbed reference at (0, 0)
+    if not abs(base) >= 1e-12:  # a NaN gap fails this too
         raise NoSteadyStateError("fig6 reference sweep produced no usable gamma_g")
-    columns = [[[None if g is None else (g - base) / abs(base) * 100.0] for g in column]
-               for column in cells]
-    table = grid_rows(dfls, doms, columns)
+    table = grid_rows(dfls, doms, ((cells - base) / abs(base) * 100.0)[..., None])
     return [("fig6.csv", ["delta", "omega1_minus_omega2", "gamma_g_change_percent"], *table)], \
         {"path_samples": samples, "gamma3": gamma3, "reference_gamma_g": base}
 

@@ -21,10 +21,12 @@ import numpy as np
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
 from gpdiag.gp import SWEEPABLE, PathSpec, UndefinedPhaseError, gp_curve_from_states, gp_derivative
-from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
+from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 
 OUTPUT_KINDS = ("eigenvalues", "purity", "concurrence", "gamma_g", "dgamma")
+# the CSV fields of each output, in column order
+_FIELDS = {out: (out,) for out in OUTPUT_KINDS} | {"eigenvalues": ("lambda1", "lambda2", "lambda3")}
 SCHEMES = ("I", "II", "custom")
 
 _PARAM_KEYS = ("omega1", "omega2", "delta1", "delta2", "gamma2", "gamma3")
@@ -161,11 +163,9 @@ def parse_config(text: str) -> SweepSpec:
     return SweepSpec(scheme, base, axis1, axis2, outputs, path)
 
 
-def format_field(value) -> str:
-    """12-significant-digit float formatting; empty string for undefined."""
-    if value is None:
-        return ""
-    return f"{value:.12g}"
+def format_field(value: float) -> str:
+    """12-significant-digit float formatting; the empty string for NaN, an undefined point."""
+    return "" if math.isnan(value) else f"{value:.12g}"
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -188,70 +188,61 @@ def map_columns(fn, payloads, jobs):
     return [fn(*p) for p in payloads]
 
 
-def _column_outputs(spec: PathSpec, outputs):
+def _column_outputs(spec: PathSpec, outputs) -> np.ndarray:
     """Evaluate `outputs` at every sample of the path `spec`.
 
-    Returns one list of fields per sample, in the column order of `outputs`
-    (None = undefined).  gamma_g/dgamma are evaluated along the path.
+    Returns a (samples, fields) float array in the column order of `outputs`,
+    NaN where a point is undefined.  The steady states are solved point by
+    point; then eigenvalues, purity and concurrence are one call each over the
+    stack of defined states, gamma_g runs along the defined samples, and
+    dgamma is filled only when no gamma_g gap remains.
     """
     values = spec.values()
-    states = []
-    for v in values:
+    states, defined = [], []
+    for i, v in enumerate(values):
         try:
             states.append(atomic_to_photon(steady_state(spec.params_at(v))))
-        except (DegenerateSteadyStateError, NoSteadyStateError):
-            states.append(None)
-    cells = [dict() for _ in values]
-    for i, rho in enumerate(states):
-        if rho is None:
+        except NoSteadyStateError:
             continue
-        if "eigenvalues" in outputs:
-            lam = hermitian_eig(rho).eigenvalues[::-1]
-            cells[i]["lambda1"], cells[i]["lambda2"], cells[i]["lambda3"] = map(float, lam)
-        if "purity" in outputs:
-            cells[i]["purity"] = purity(rho)
-        if "concurrence" in outputs:
-            cells[i]["concurrence"] = concurrence(rho)
-    if "gamma_g" in outputs or "dgamma" in outputs:
-        defined = [i for i, rho in enumerate(states) if rho is not None]
-        gammas = [None] * len(values)
-        if len(defined) >= 2:
-            try:
-                for i, g in zip(defined, gp_curve_from_states([states[i] for i in defined])):
-                    gammas[i] = g
-            except UndefinedPhaseError:
-                pass
-        if "gamma_g" in outputs:
-            for i, g in enumerate(gammas):
-                cells[i]["gamma_g"] = g
-        if "dgamma" in outputs and all(g is not None for g in gammas):
-            for i, d in enumerate(gp_derivative(gammas, values[1] - values[0])):
-                cells[i]["dgamma"] = d
-    columns = [col for out in outputs for col in _output_columns(out)]
-    return [[cell.get(col) for col in columns] for cell in cells]
-
-
-def _output_columns(output: str):
-    if output == "eigenvalues":
-        return ("lambda1", "lambda2", "lambda3")
-    return (output,)
+        defined.append(i)
+    table = np.full((len(values), sum(len(_FIELDS[out]) for out in outputs)), np.nan)
+    if not states:
+        return table
+    states = np.array(states)
+    gammas = np.full(len(values), np.nan)
+    if ("gamma_g" in outputs or "dgamma" in outputs) and len(states) >= 2:
+        try:
+            gammas[defined] = gp_curve_from_states(states)
+        except UndefinedPhaseError:
+            pass
+    col = 0
+    for out in outputs:
+        if out == "eigenvalues":
+            table[defined, col:col + 3] = hermitian_eig(states).eigenvalues[:, ::-1]
+        elif out == "purity":
+            table[defined, col] = purity(states)
+        elif out == "concurrence":
+            table[defined, col] = concurrence(states)
+        elif out == "gamma_g":
+            table[:, col] = gammas
+        elif out == "dgamma" and not np.isnan(gammas).any():
+            table[:, col] = gp_derivative(gammas, values[1] - values[0])
+        col += len(_FIELDS[out])
+    return table
 
 
 def grid_rows(axis1_values, axis2_values, columns):
-    """Rows of a table whose columns[i2][i1] is the list of fields at one point.
+    """Rows of a table whose columns[i2] is the (axis1 samples, fields) float array of one column, NaN at gaps.
 
     Rows run axis1-major, axis2-minor; axis2_values is [None] for a table of
     one column.  Returns (rows, undefined, defined): the rows and the counts
     of points with at least one empty field and with at least one value.
     """
-    rows, undefined, defined = [], 0, 0
-    for i1, v1 in enumerate(axis1_values):
-        for i2, v2 in enumerate(axis2_values):
-            fields = columns[i2][i1]
-            undefined += any(v is None for v in fields)
-            defined += any(v is not None for v in fields)
-            rows.append([float(v1)] + ([] if v2 is None else [float(v2)]) + fields)
-    return rows, undefined, defined
+    table = np.stack(columns, axis=1)
+    gaps = np.isnan(table)
+    rows = [[float(v1)] + ([] if v2 is None else [float(v2)]) + fields
+            for v1, line in zip(axis1_values, table.tolist()) for v2, fields in zip(axis2_values, line)]
+    return rows, int(gaps.any(axis=2).sum()), int((~gaps).any(axis=2).sum())
 
 
 def write_tables(out_dir: Path, tables, source: str):
@@ -287,7 +278,7 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1):
     if axis2 is not None:
         header.append(axis2.parameter)
     for out in spec.outputs:
-        header.extend(_output_columns(out))
+        header.extend(_FIELDS[out])
     table = grid_rows(axis1.values(), axis2_values, columns)
     paths, undefined = write_tables(out_dir, [(spec.path, header, *table)], "sweep")
     return paths[0], undefined

@@ -276,6 +276,14 @@ class TestRecipeCommand:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_fig4_window_reference_without_steady_state_is_counted(self, tmp_path, capsys):
+        # the separable base points have no unique steady state without gamma2:
+        # their surfaces are gaps, not a numerical failure
+        code = run_cli(["recipe", "fig4", "--out", str(tmp_path), "--samples", "5",
+                        "--jobs", "1", "--gamma2", "0"])
+        assert code == 0
+        assert capsys.readouterr().err == "undefined points: 195\n"
+
     def test_small_recipe_run(self, tmp_path, capsys):
         code = run_cli(["recipe", "fig2", "--out", str(tmp_path), "--samples", "5",
                         "--jobs", "1"])

@@ -170,3 +170,33 @@ def test_purity_matches_eigenvalue_sum():
     w, _ = hermitian_eig(rho)
     assert 1.0 / 3.0 < purity(rho) < 1.0
     assert abs(purity(rho) - np.sum(w**2)) <= 1e-12
+
+
+def test_concurrence_and_purity_take_stacks():
+    rhos = np.array([np.outer(v, v) for v in ([-0.6, 0.0, 0.8], [1.0, 0.0, 0.0])])
+    np.testing.assert_allclose(concurrence(rhos), [0.96, 0.0], atol=1e-15)
+    np.testing.assert_allclose(purity(rhos), [1.0, 1.0], atol=1e-15)
+    with pytest.raises(ContractViolationError, match="3x3"):
+        concurrence(np.zeros((2, 4, 4)))
+
+
+# steady states at omega1 = 0 have rho_{00,11} exactly 0
+_steady_stacks = st.lists(st.builds(_steady_photon_state, st.one_of(st.just(0.0), _unit), _unit,
+                                    st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), _unit, st.booleans()),
+                          min_size=1, max_size=8)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(states=_steady_stacks)
+def test_stacked_calls_equal_single_calls_bitwise(states):
+    """purity, concurrence and hermitian_eig on a stack give each member's own call, bit for bit,
+    and concurrence is 2 abs(rho[0, 2]) with the scalar abs, as the per-point pipeline wrote it."""
+    rhos = np.array(states)
+    assert np.array_equal(purity(rhos), [purity(rho) for rho in states])
+    assert np.array_equal(concurrence(rhos), [concurrence(rho) for rho in states])
+    assert np.array_equal(concurrence(rhos), [2.0 * float(abs(rho[0, 2])) for rho in states])
+    eig = hermitian_eig(rhos)
+    for i, rho in enumerate(states):
+        single = hermitian_eig(rho)
+        assert np.array_equal(eig.eigenvalues[i], single.eigenvalues)
+        assert np.array_equal(eig.eigenvectors[i], single.eigenvectors)

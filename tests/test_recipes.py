@@ -126,6 +126,15 @@ class TestFig4(object):
         assert meta["omega2"] == 2.0
         assert meta["delta_offset_range"] == [-0.5, 0.5]
 
+    def test_window_reference_without_steady_state_gives_gap_surface(self, tmp_path):
+        # without gamma2 the separable window's base point (omega1 = 0) has no
+        # unique steady state in either scheme, while the Bell scheme-I one has
+        result = run_recipe("fig4", tmp_path, samples=5, jobs=1, gamma2=0.0)
+        empty = {p.name: [v is None for v in column(read_rows(p)[1], 2)] for p in result.files if p.suffix == ".csv"}
+        assert all(empty["fig4_separable_scheme2.csv"]) and all(empty["fig4_separable_scheme1.csv"])
+        assert not any(empty["fig4_bell_scheme1.csv"]) and not any(empty["fig4_separable_ideal.csv"])
+        assert result.undefined_points == sum(map(sum, empty.values()))
+
 
 @pytest.fixture(scope="module")
 def fig5_dir(tmp_path_factory):

@@ -193,11 +193,11 @@ samples = 61
                         "delta1", -3.0, 3.0, 121)
         values = spec.values()
         gammas = gp_curve_from_states(sample_path(spec))
-        expected = [[g, d] for g, d in zip(gammas, gp_derivative(gammas, values[1] - values[0]))]
-        assert gpdiag.sweep._column_outputs(spec, ("gamma_g", "dgamma")) == expected
+        expected = np.column_stack([gammas, gp_derivative(gammas, values[1] - values[0])])
+        assert np.array_equal(gpdiag.sweep._column_outputs(spec, ("gamma_g", "dgamma")), expected)
 
     def test_formatting(self):
-        assert format_field(None) == ""
+        assert format_field(np.nan) == ""
         assert format_field(0.5) == "0.5"
         assert len(format_field(1.0 / 3.0).replace("0.", "")) == 12
 
