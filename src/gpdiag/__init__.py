@@ -1,7 +1,7 @@
 """Driven three-level cascade emitter: steady states, two-photon entanglement,
 and the mixed-state geometric phase over control-parameter paths."""
 
-from gpdiag.cascade import SystemParams, build_hamiltonian, evolve, lindblad_rhs, liouvillian, steady_state
+from gpdiag.cascade import SystemParams, build_hamiltonian, lindblad_rhs, liouvillian, steady_state
 from gpdiag.gp import (
     GeometricPhaseResult,
     PathSpec,
@@ -39,7 +39,6 @@ __all__ = [
     "build_hamiltonian",
     "concurrence",
     "embed_two_qubit",
-    "evolve",
     "gp_derivative",
     "hermitian_eig",
     "lindblad_rhs",

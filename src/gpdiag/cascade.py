@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from gpdiag.linops import NoSteadyStateError, null_space_unit_trace, unvec, vec
+from gpdiag.linops import NoSteadyStateError, null_space_unit_trace
 
 DEFAULT_GAMMA2 = 6.0   # 5P_3/2 linewidth of 87Rb in MHz
 DEFAULT_GAMMA3_REAL = 1.0   # metastable top level ("scheme I")
@@ -55,18 +55,6 @@ class SystemParams:
             raise ValueError("Rabi frequencies must be >= 0")
         if self.gamma2 < 0 or self.gamma3 < 0:
             raise ValueError("decay rates must be >= 0")
-
-    @classmethod
-    def scheme_i(cls, omega1, omega2, delta1=0.0, delta2=0.0,
-                 gamma2=DEFAULT_GAMMA2, gamma3=DEFAULT_GAMMA3_REAL) -> "SystemParams":
-        """Real system: metastable top level."""
-        return cls(omega1, omega2, delta1, delta2, gamma2, gamma3)
-
-    @classmethod
-    def scheme_ii(cls, omega1, omega2, delta1=0.0, delta2=0.0,
-                  gamma2=DEFAULT_GAMMA2) -> "SystemParams":
-        """Ideal system: no decay of the top level, decoherence-free two-photon state."""
-        return cls(omega1, omega2, delta1, delta2, gamma2, DEFAULT_GAMMA3_IDEAL)
 
     def with_value(self, name: str, value: float) -> "SystemParams":
         return replace(self, **{name: value})
@@ -150,50 +138,3 @@ def steady_state(p: SystemParams) -> np.ndarray:
         raise NoSteadyStateError(f"steady state not positive semidefinite (min eigenvalue {low:.3e})")
     return rho
 
-
-def _max_stable_dt(p: SystemParams) -> float:
-    return 0.01 / max(1.0, p.omega1, p.omega2,
-                      abs(p.delta1) + abs(p.delta2), p.gamma2, p.gamma3)
-
-
-def _rk4_step_matrix(p: SystemParams, dt: float) -> np.ndarray:
-    # The generator is linear in rho, so one classical RK4 step is the fixed
-    # linear map I + A + A^2/2 + A^3/6 + A^4/24 with A = dt L, in Horner form.
-    a = dt * liouvillian(p)
-    step = np.eye(9, dtype=complex)
-    for k in (4, 3, 2, 1):
-        step = np.eye(9) + a @ step / k
-    return step
-
-
-def evolve(p: SystemParams, rho0: np.ndarray, t_final: float, dt: float,
-           renormalize: bool = True) -> np.ndarray:
-    """Classical fixed-step RK4 integration of liouvillian(p) from rho0 to t_final.
-
-    Kept as an independent check on the null-space (SVD) steady state.  The step
-    must satisfy dt <= 0.01 / max(1, omega1, omega2, |delta1|+|delta2|,
-    gamma2, gamma3); the actual step is shrunk so that t_final is hit exactly.
-    With renormalize=True (default) the output is re-Hermitized and rescaled
-    to unit trace; the raw propagated state is returned otherwise, so tests
-    can bound the trace and Hermiticity drift.
-    """
-    if t_final < 0:
-        raise ValueError(f"t_final must be >= 0, got {t_final}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    limit = _max_stable_dt(p)
-    if dt > limit * (1 + 1e-12):
-        raise ValueError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if t_final == 0.0:
-        return rho0.copy()
-    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
-    step = _rk4_step_matrix(p, t_final / n_steps)
-    v = vec(rho0)
-    for _ in range(n_steps):
-        v = step @ v
-    rho = unvec(v, 3)
-    if renormalize:
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
-    return rho

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
+from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
 from gpdiag.gp import UndefinedPhaseError
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
@@ -82,7 +82,8 @@ def _build_parser() -> _Parser:
 def _add_common(sub, flag_defaults: bool = True):
     sub.add_argument("--out", default="./out", help="output directory (default ./out)")
     sub.add_argument("--samples", type=_samples, default=601 if flag_defaults else None,
-                     help="samples per axis (default 601)")
+                     help="samples per axis (default 601)" if flag_defaults
+                     else "samples of every axis (default: each axis's samples in the config)")
     sub.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                      help="worker processes, at most one per column (default: number of processors)")
     sub.add_argument("--gamma2", type=_non_negative,
@@ -133,7 +134,7 @@ def _apply_sweep_overrides(spec, args):
 def _cmd_steady(args) -> int:
     gamma3 = args.gamma3
     if gamma3 is None:
-        gamma3 = 0.0 if args.scheme == "II" else DEFAULT_GAMMA3_REAL
+        gamma3 = DEFAULT_GAMMA3_IDEAL if args.scheme == "II" else DEFAULT_GAMMA3_REAL
     try:
         p = SystemParams(args.omega1, args.omega2, args.delta1, args.delta2, args.gamma2, gamma3)
     except ValueError as err:

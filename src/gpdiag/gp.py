@@ -219,15 +219,14 @@ def pancharatnam_phase(psi0: np.ndarray, psi1: np.ndarray) -> float:
     return float(np.angle(ov))
 
 
-def fix_global_phase(psi: np.ndarray, pivot: int = 0) -> np.ndarray:
-    """Rotate a state vector so the pivot component is real and nonnegative.
+def fix_global_phase(psi: np.ndarray) -> np.ndarray:
+    """Rotate a state vector so its first component is real and nonnegative.
 
-    The pivot defaults to the first component (the |00> gauge); when its
-    amplitude is at most GAUGE_TOL the largest-magnitude component is used.
+    This is the |00> gauge; when the first amplitude is at most GAUGE_TOL
+    the largest-magnitude component is made real and positive instead.
     """
     psi = np.asarray(psi, dtype=complex)
-    if abs(psi[pivot]) <= GAUGE_TOL:
-        pivot = int(np.argmax(np.abs(psi)))
+    pivot = 0 if abs(psi[0]) > GAUGE_TOL else int(np.argmax(np.abs(psi)))
     return psi * (abs(psi[pivot]) / psi[pivot])
 
 

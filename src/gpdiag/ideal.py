@@ -15,28 +15,8 @@ the fig4 recipe.  It is not the transported mixed-state gamma_g of gp.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from gpdiag.cascade import SystemParams
-
-
-@dataclass(frozen=True)
-class IdealParams:
-    """Dimensionless parameters of the ideal system."""
-
-    X: float
-    delta_bar: float
-    gamma21: float
-
-    def __post_init__(self):
-        if self.gamma21 < 0:
-            raise ValueError("gamma21 must be >= 0")
-
-    @classmethod
-    def from_system(cls, p: SystemParams) -> "IdealParams":
-        return cls(p.mixing_angle, p.delta_bar, p.gamma21)
 
 
 def dark_state(X: float) -> np.ndarray:
@@ -49,7 +29,7 @@ def pure_concurrence(X: float) -> float:
     return math.sin(2.0 * X)
 
 
-def ideal_density_matrix(p: IdealParams) -> np.ndarray:
+def ideal_density_matrix(X: float, delta_bar: float, gamma21: float) -> np.ndarray:
     """First-order-in-delta_bar two-photon density matrix of the ideal system.
 
     Valid for |delta_bar| << 1 (any value is accepted).  The (1,1) element is
@@ -57,13 +37,12 @@ def ideal_density_matrix(p: IdealParams) -> np.ndarray:
     coherence: the master equation gives -S C (1 + i gamma21 delta_bar), which
     the gauge-fixed phase expansion below is consistent with.
     """
-    s, c = math.sin(p.X), math.cos(p.X)
-    d, g = p.delta_bar, p.gamma21
+    s, c = math.sin(X), math.cos(X)
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = s * s
-    rho[0, 1] = d * c * s * s
-    rho[0, 2] = -s * c * (1.0 + 1j * g * d)
-    rho[1, 2] = -d * c * c * s
+    rho[0, 1] = delta_bar * c * s * s
+    rho[0, 2] = -s * c * (1.0 + 1j * gamma21 * delta_bar)
+    rho[1, 2] = -delta_bar * c * c * s
     rho[2, 2] = c * c
     rho[1, 0] = np.conj(rho[0, 1])
     rho[2, 0] = np.conj(rho[0, 2])

@@ -65,16 +65,6 @@ def hermitian_eig(a) -> EigenSystem:
     return EigenSystem(w, v)
 
 
-def vec(m: np.ndarray) -> np.ndarray:
-    """Row-major vectorization of a square matrix."""
-    return np.asarray(m, dtype=complex).reshape(-1)
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of vec."""
-    return np.asarray(v, dtype=complex).reshape(dim, dim)
-
-
 def null_space_unit_trace(ell) -> np.ndarray:
     """Unique null vector of a superoperator, returned as a unit-trace Hermitian matrix.
 

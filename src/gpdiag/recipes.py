@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
+from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
 from gpdiag.gp import PathSpec, UndefinedPhaseError, fix_global_phase, gp_derivative, pancharatnam_phase, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
@@ -60,8 +60,8 @@ _FIG2 = {
 
 
 def _run_fig2(recipe_id, t, samples, jobs, gamma2, gamma3):
-    bases = [SystemParams(c["omega1"], c["omega2"], 0.0, 0.0, gamma2, 0.0 if c["scheme"] == "ii" else gamma3)
-             for c in t["combos"]]
+    bases = [SystemParams(c["omega1"], c["omega2"], 0.0, 0.0, gamma2,
+                          DEFAULT_GAMMA3_IDEAL if c["scheme"] == "ii" else gamma3) for c in t["combos"]]
     deltas, columns = _delta1_columns(bases, t["delta_range"], samples, ("eigenvalues",), jobs)
     tables = [(f"fig2_{c['scheme']}_{c['omega1']:g}_{c['omega2']:g}.csv", ["delta", "lambda1", "lambda2", "lambda3"],
                *grid_rows(deltas, [None], [column]))
@@ -82,7 +82,7 @@ _FIG3 = {
 
 
 def _run_fig3(recipe_id, t, samples, jobs, gamma2, gamma3):
-    g3 = 0.0 if t["scheme"] == "II" else gamma3
+    g3 = DEFAULT_GAMMA3_IDEAL if t["scheme"] == "II" else gamma3
     doms = np.linspace(*t["omega1_minus_omega2_range"], samples)
     bases = [SystemParams(t["omega2"] + dom, t["omega2"], 0.0, 0.0, gamma2, g3) for dom in doms]
     deltas, columns = _delta1_columns(bases, t["delta_range"], samples, ("concurrence",), jobs)
@@ -124,7 +124,7 @@ def _fig4_ideal_column(x0, dx, omega2, gamma2, deltas):
 def _fig4_dominant_vector(p: SystemParams) -> np.ndarray:
     """Dominant eigenvector of the photon steady state, in the |00>-component gauge."""
     rho = atomic_to_photon(steady_state(p))
-    return fix_global_phase(hermitian_eig(rho).eigenvectors[:, -1], pivot=0)
+    return fix_global_phase(hermitian_eig(rho).eigenvectors[:, -1])
 
 
 def _fig4_numeric_column(x0, dx, omega2, gamma2, gamma3, deltas):
@@ -147,12 +147,16 @@ def _run_fig4(recipe_id, t, samples, jobs, gamma2, gamma3):
     deltas = np.linspace(*t["delta_offset_range"], samples)
     dxs = np.linspace(*t["dX_range"], t["dX_samples"])
     o2 = t["omega2"]
+    windows = t["windows"].items()
+    variants = (("scheme2", DEFAULT_GAMMA3_IDEAL), ("scheme1", gamma3))
+    # one pool for every numeric column; the closed-form columns are cheap and run in process
+    numeric = iter(map_columns(_fig4_numeric_column, [(x0, dx, o2, gamma2, g3, deltas)
+                                                     for _, x0 in windows for _, g3 in variants for dx in dxs], jobs))
     tables = []
-    for window, x0 in t["windows"].items():
-        surfaces = {"ideal": map_columns(_fig4_ideal_column, [(x0, dx, o2, gamma2, deltas) for dx in dxs], jobs)}
-        for variant, g3 in (("scheme2", 0.0), ("scheme1", gamma3)):
-            payloads = [(x0, dx, o2, gamma2, g3, deltas) for dx in dxs]
-            surfaces[variant] = map_columns(_fig4_numeric_column, payloads, jobs)
+    for window, x0 in windows:
+        surfaces = {"ideal": [_fig4_ideal_column(x0, dx, o2, gamma2, deltas) for dx in dxs]}
+        for variant, _ in variants:
+            surfaces[variant] = [next(numeric) for _ in dxs]
         for variant, columns in surfaces.items():
             tables.append((f"fig4_{window}_{variant}.csv", ["delta_offset", "dX", "dgamma_dDelta"],
                            *grid_rows(deltas, dxs, columns)))

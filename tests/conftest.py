@@ -1,12 +1,36 @@
 import numpy as np
 import pytest
 
+import gpdiag.sweep
 from gpdiag.cascade import SystemParams
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Run sweep's process pools in-process; returns (workers, function name, payloads) per pool."""
+    calls = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, payloads, chunksize):
+            calls.append((self.processes, fn.__name__, len(payloads)))
+            return [fn(*p) for p in payloads]
+
+    monkeypatch.setattr(gpdiag.sweep, "Pool", RecordingPool)
+    return calls
 
 
 def random_hermitian(rng, n):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_params
-from gpdiag.cascade import (SystemParams, _max_stable_dt, _rk4_step_matrix, build_hamiltonian, evolve,
-                            lindblad_rhs, liouvillian, steady_state)
-from gpdiag.linops import DegenerateSteadyStateError, hermitian_eig, unvec, vec
+from gpdiag.cascade import (DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams,
+                            build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
+from gpdiag.linops import DegenerateSteadyStateError, hermitian_eig
+from rk4_oracle import _max_stable_dt, _rk4_step_matrix, evolve, unvec, vec
 
 
 def ket(i):
@@ -43,9 +44,10 @@ class TestParams:
         assert abs(p.delta_bar - 1.5 / 5.0) < 1e-15
         assert abs(p.gamma21 - 0.6) < 1e-15
 
-    def test_scheme_constructors(self):
-        assert SystemParams.scheme_i(6, 6).gamma3 == 1.0
-        assert SystemParams.scheme_ii(6, 6).gamma3 == 0.0
+    def test_default_rates_are_scheme_i(self):
+        p = SystemParams(6, 6)
+        assert (p.gamma2, p.gamma3) == (DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL) == (6.0, 1.0)
+        assert DEFAULT_GAMMA3_IDEAL == 0.0
 
 
 class TestHamiltonian:
@@ -134,7 +136,7 @@ def test_generator_on_parameter_box(p, seed, dt_fraction):
 
 class TestSteadyState:
     def test_scheme_ii_dark_state(self):
-        p = SystemParams.scheme_ii(6.0, 6.0)
+        p = SystemParams(6.0, 6.0, gamma3=0.0)
         rho = steady_state(p)
         w, v = hermitian_eig(rho)
         np.testing.assert_allclose(np.sort(w), [0.0, 0.0, 1.0], atol=1e-10)
@@ -151,7 +153,7 @@ class TestSteadyState:
             steady_state(SystemParams(0, 0, 0, 0, 6.0, 0.0))
 
     def test_matches_long_time_evolution(self):
-        p = SystemParams.scheme_i(6.0, 6.0)
+        p = SystemParams(6.0, 6.0)
         direct = steady_state(p)
         dt = 0.01 / 6.0
         evolved = evolve(p, projector(0), 50.0, dt)
@@ -167,7 +169,7 @@ class TestSteadyState:
 
     def test_dark_state_family(self):
         for x in np.linspace(0.03, math.pi / 2 - 0.03, 50):
-            p = SystemParams.scheme_ii(6.0 * math.sin(x), 6.0 * math.cos(x))
+            p = SystemParams(6.0 * math.sin(x), 6.0 * math.cos(x), gamma3=0.0)
             w, v = hermitian_eig(steady_state(p))
             assert abs(w[-1] - 1.0) <= 1e-8
             dark = np.array([math.cos(x), 0.0, -math.sin(x)])  # atomic basis
@@ -183,7 +185,7 @@ class TestSteadyState:
         deltas = np.linspace(-2, 2, 41)
         largest = []
         for d in deltas:
-            w, _ = hermitian_eig(steady_state(SystemParams.scheme_i(6.0, 6.0, d, 0.0)))
+            w, _ = hermitian_eig(steady_state(SystemParams(6.0, 6.0, d, 0.0)))
             largest.append(w[-1])
         largest = np.array(largest)
         assert deltas[np.argmax(largest)] == 0.0
@@ -202,7 +204,7 @@ class TestEvolve:
         assert abs(rho[1, 1].real - math.exp(-6.0)) <= 1e-6
 
     def test_rk4_order_of_convergence(self):
-        p = SystemParams.scheme_i(3.0, 4.0, 1.0, 0.0)
+        p = SystemParams(3.0, 4.0, 1.0, 0.0)
         rho0 = projector(0)
         dt = 0.01 / 6.0
         coarse = evolve(p, rho0, 2.0, dt, renormalize=False)
@@ -214,7 +216,7 @@ class TestEvolve:
         assert 10.0 < ratio < 25.0, f"expected ~16x error reduction, got {ratio:.1f}"
 
     def test_step_and_horizon_validation(self):
-        p = SystemParams.scheme_i(6.0, 6.0)
+        p = SystemParams(6.0, 6.0)
         with pytest.raises(ValueError):
             evolve(p, projector(0), 1.0, 0.01)  # above stability bound
         with pytest.raises(ValueError):
@@ -223,7 +225,7 @@ class TestEvolve:
             evolve(p, projector(0), 1.0, 0.0)
 
     def test_drift_per_unit_time(self):
-        p = SystemParams.scheme_i(6.0, 6.0, 1.0, 0.0)
+        p = SystemParams(6.0, 6.0, 1.0, 0.0)
         raw = evolve(p, projector(0), 10.0, 0.01 / 6.0, renormalize=False)
         assert abs(np.trace(raw).real - 1.0) <= 1e-9 * 10.0
         assert abs(np.trace(raw).imag) <= 1e-9 * 10.0

@@ -261,6 +261,16 @@ samples = 9
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 3
 
 
+    def test_samples_help_names_each_default(self, capsys):
+        helps = {}
+        for command in ("recipe", "sweep"):
+            assert run_cli([command, "--help"]) == 0
+            helps[command] = " ".join(capsys.readouterr().out.split())
+        assert "samples per axis (default 601)" in helps["recipe"]
+        assert "601" not in helps["sweep"]
+        assert "default: each axis's samples in the config" in helps["sweep"]
+
+
 class TestRecipeCommand:
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

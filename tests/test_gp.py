@@ -23,7 +23,7 @@ from gpdiag.gp import (
 )
 from gpdiag.linops import DegenerateSteadyStateError
 
-BELL = SystemParams.scheme_i(6.0, 6.0)
+BELL = SystemParams(6.0, 6.0)
 
 
 def circle_states(theta, m, n=2):
@@ -69,7 +69,7 @@ class TestPathSpec:
             assert np.max(np.abs(rho - center)) <= 10.0 * eps
 
     def test_degenerate_point_reports_sample_index(self):
-        base = SystemParams.scheme_ii(0.0, 0.0)
+        base = SystemParams(0.0, 0.0, gamma3=0.0)
         with pytest.raises(DegenerateSteadyStateError) as err:
             sample_path(PathSpec(base, "delta1", -1.0, 1.0, 3))
         assert "sample 0" in str(err.value)
@@ -85,7 +85,7 @@ class TestTrackSpectrum:
         assert not traj.resolution_warning
 
     def test_scheme_ii_resonant_single_branch(self):
-        base = SystemParams.scheme_ii(6.0, 6.0)
+        base = SystemParams(6.0, 6.0, gamma3=0.0)
         states = sample_path(PathSpec(base, "omega1", 4.0, 6.0, 11))
         traj = track_spectrum(states)
         assert traj.kept_branches == (0,)

@@ -6,7 +6,6 @@ import pytest
 from gpdiag.cascade import SystemParams, steady_state
 from gpdiag.gp import fix_global_phase
 from gpdiag.ideal import (
-    IdealParams,
     beta_coefficient,
     beta_coefficient_rederived,
     dark_state,
@@ -21,7 +20,7 @@ from gpdiag.photons import atomic_to_photon, concurrence
 def scheme_ii_at(x, delta_bar, omega=6.0):
     """Ideal-system parameters at mixing angle x with the detuning on drive 1."""
     o1, o2 = omega * math.sin(x), omega * math.cos(x)
-    return SystemParams.scheme_ii(o1, o2, delta1=delta_bar * omega, delta2=0.0)
+    return SystemParams(o1, o2, delta1=delta_bar * omega, delta2=0.0, gamma3=0.0)
 
 
 class TestDarkState:
@@ -51,29 +50,28 @@ class TestPureConcurrence:
 class TestIdealDensityMatrix:
     def test_resonant_form_is_dark_projector(self):
         for x in (0.2, math.pi / 4, 1.3):
-            rho = ideal_density_matrix(IdealParams(x, 0.0, 0.354))
+            rho = ideal_density_matrix(x, 0.0, 0.354)
             psi = dark_state(x)
             np.testing.assert_array_equal(rho, np.outer(psi, psi.conj()))
 
     def test_unit_trace(self, rng):
         for _ in range(20):
-            p = IdealParams(rng.uniform(0.1, 1.4), rng.uniform(-0.2, 0.2), rng.uniform(0, 1))
-            assert abs(np.trace(ideal_density_matrix(p)) - 1.0) <= 1e-14
+            rho = ideal_density_matrix(rng.uniform(0.1, 1.4), rng.uniform(-0.2, 0.2), rng.uniform(0, 1))
+            assert abs(np.trace(rho) - 1.0) <= 1e-14
 
     def test_matches_numeric_steady_state_to_second_order(self):
         # elementwise difference from the exact steady state must be O(delta_bar^2)
         for delta_bar in (0.01, 0.005):
             p = scheme_ii_at(math.pi / 4, delta_bar)
             numeric = atomic_to_photon(steady_state(p))
-            closed = ideal_density_matrix(IdealParams.from_system(p))
+            closed = ideal_density_matrix(p.mixing_angle, p.delta_bar, p.gamma21)
             assert np.max(np.abs(numeric - closed)) <= 5.0 * delta_bar**2
 
     def test_from_system_accessors(self):
         p = scheme_ii_at(math.pi / 4, 0.01)
-        ideal = IdealParams.from_system(p)
-        assert abs(ideal.X - math.pi / 4) <= 1e-12
-        assert abs(ideal.delta_bar - 0.01) <= 1e-15
-        assert abs(ideal.gamma21 - 6.0 / 12.0) <= 1e-15
+        assert abs(p.mixing_angle - math.pi / 4) <= 1e-12
+        assert abs(p.delta_bar - 0.01) <= 1e-15
+        assert abs(p.gamma21 - 6.0 / 12.0) <= 1e-15
 
 
 class TestBetaCoefficient:
@@ -98,12 +96,12 @@ class TestBetaCoefficient:
         x, g = 0.6, 0.45
         h = 1e-3
 
-        psi0 = fix_global_phase(dark_state(x), pivot=0)
+        psi0 = fix_global_phase(dark_state(x))
 
         def overlap_re(delta_bar):
-            rho = ideal_density_matrix(IdealParams(x, delta_bar, g))
+            rho = ideal_density_matrix(x, delta_bar, g)
             _, v = hermitian_eig(rho)
-            psi = fix_global_phase(v[:, -1], pivot=0)
+            psi = fix_global_phase(v[:, -1])
             return float(np.vdot(psi0, psi).real)
 
         curvature = (overlap_re(h) + overlap_re(-h) - 2.0 * overlap_re(0.0)) / h**2

@@ -9,9 +9,8 @@ from gpdiag.linops import (
     NoSteadyStateError,
     hermitian_eig,
     null_space_unit_trace,
-    unvec,
-    vec,
 )
+from rk4_oracle import unvec, vec
 
 
 def test_identity_spectrum():
@@ -146,6 +145,6 @@ def test_stack_with_one_non_hermitian_member_rejected(rng):
 
 
 def test_null_space_rejects_stack():
-    ell = liouvillian(SystemParams.scheme_i(6.0, 6.0))
+    ell = liouvillian(SystemParams(6.0, 6.0))
     with pytest.raises(ContractViolationError, match="square matrix"):
         null_space_unit_trace(np.array([ell, ell]))

@@ -37,7 +37,7 @@ def test_relabel_preserves_spectrum(rng):
 def test_scheme_ii_dark_state_sign_structure():
     # steady state at two-photon resonance must be -sin(X)|00> + cos(X)|11>
     for x in (0.3, math.pi / 4, 1.1):
-        p = SystemParams.scheme_ii(6.0 * math.sin(x), 6.0 * math.cos(x))
+        p = SystemParams(6.0 * math.sin(x), 6.0 * math.cos(x), gamma3=0.0)
         rho = atomic_to_photon(steady_state(p))
         dark = np.array([-math.sin(x), 0.0, math.cos(x)])
         np.testing.assert_allclose(rho, np.outer(dark, dark), atol=1e-9)
@@ -85,7 +85,7 @@ def test_concurrence_superposition_law(rng):
 def test_concurrence_matches_sin_2x():
     xs = np.linspace(0.05, math.pi / 2 - 0.05, 25)
     for x in xs:
-        p = SystemParams.scheme_ii(6.0 * math.sin(x), 6.0 * math.cos(x))
+        p = SystemParams(6.0 * math.sin(x), 6.0 * math.cos(x), gamma3=0.0)
         rho = atomic_to_photon(steady_state(p))
         assert abs(concurrence(rho) - math.sin(2 * x)) <= 1e-6
 
@@ -166,7 +166,7 @@ def test_purity():
 
 
 def test_purity_matches_eigenvalue_sum():
-    rho = atomic_to_photon(steady_state(SystemParams.scheme_i(6.0, 6.0)))
+    rho = atomic_to_photon(steady_state(SystemParams(6.0, 6.0)))
     w, _ = hermitian_eig(rho)
     assert 1.0 / 3.0 < purity(rho) < 1.0
     assert abs(purity(rho) - np.sum(w**2)) <= 1e-12

@@ -135,6 +135,11 @@ class TestFig4(object):
         assert not any(empty["fig4_bell_scheme1.csv"]) and not any(empty["fig4_separable_ideal.csv"])
         assert result.undefined_points == sum(map(sum, empty.values()))
 
+    def test_numeric_columns_share_one_pool(self, tmp_path, pool_calls):
+        run_recipe("fig4", tmp_path, samples=3, jobs=2)
+        # 2 windows x 2 numeric variants x 13 dX columns
+        assert pool_calls == [(2, "_fig4_numeric_column", 52)]
+
 
 @pytest.fixture(scope="module")
 def fig5_dir(tmp_path_factory):

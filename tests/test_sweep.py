@@ -202,24 +202,6 @@ samples = 61
         assert len(format_field(1.0 / 3.0).replace("0.", "")) == 12
 
 
-def test_map_columns_starts_at_most_one_worker_per_payload(monkeypatch):
-    opened = []
-
-    class RecordingPool:
-        """Stand-in for multiprocessing.Pool: records its size and runs in-process."""
-
-        def __init__(self, processes):
-            opened.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, payloads, chunksize):
-            return [fn(*p) for p in payloads]
-
-    monkeypatch.setattr(gpdiag.sweep, "Pool", RecordingPool)
+def test_map_columns_starts_at_most_one_worker_per_payload(pool_calls):
     assert map_columns(pow, [(2, 3), (3, 2)], jobs=8) == [8, 9]
-    assert opened == [2]
+    assert pool_calls == [(2, "pow", 2)]
