@@ -119,9 +119,11 @@ def lindblad_rhs(p: SystemParams, rho: np.ndarray) -> np.ndarray:
 
 
 def liouvillian(p: SystemParams) -> np.ndarray:
-    """9x9 superoperator L with unvec(L vec(rho)) = lindblad_rhs(p, rho)."""
+    """9x9 superoperator L with unvec(L vec(rho)) = lindblad_rhs(p, rho).  The commutator is one broadcast
+    product on axes (i, k, j, l) of entry [3i + k, 3j + l], bitwise equal to kron(H, I) - kron(I, H^T)."""
     h = build_hamiltonian(p)
-    return -1j * (np.kron(h, _I3) - np.kron(_I3, h.T)) + p.gamma2 * _D21 + p.gamma3 * _D32
+    comm = h[:, None, :, None] * _I3[None, :, None, :] - _I3[:, None, :, None] * h.T[None, :, None, :]
+    return -1j * comm.reshape(9, 9) + p.gamma2 * _D21 + p.gamma3 * _D32
 
 
 def steady_state(p: SystemParams) -> np.ndarray:

@@ -43,7 +43,7 @@ def _as_square_complex(a, stack=False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ContractViolationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ContractViolationError("matrix has non-finite entries")
     return a
 
@@ -87,7 +87,7 @@ def null_space_unit_trace(ell) -> np.ndarray:
         raise DegenerateSteadyStateError(deficiency, f"null space has dimension {deficiency} (singular "
                                          f"values <= {RANK_EPS:g} x largest {s[0]:.3e})")
     m = vh[-1].conj().reshape(dim, dim)
-    tr = np.trace(m)
+    tr = m.trace()
     if abs(tr) < 1e-6:
         raise NoSteadyStateError(f"null vector is traceless (|tr| = {abs(tr):.3e})")
     m = m / tr

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_density, random_params
 from gpdiag.cascade import (DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams,
                             build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
-from gpdiag.linops import DegenerateSteadyStateError, hermitian_eig
+from gpdiag.linops import DegenerateSteadyStateError, hermitian_eig, null_space_unit_trace
 from rk4_oracle import _max_stable_dt, _rk4_step_matrix, evolve, unvec, vec
 
 
@@ -132,6 +132,69 @@ def test_generator_on_parameter_box(p, seed, dt_fraction):
     a = dt * ell
     taylor = np.eye(9) + a + a @ a / 2 + a @ a @ a / 6 + a @ a @ a @ a / 24
     assert np.max(np.abs(_rk4_step_matrix(p, dt) - taylor)) <= 1e-12
+
+
+_I3 = np.eye(3, dtype=complex)
+
+
+def _kron_dissipator(c):
+    cdc = c.conj().T @ c
+    return np.kron(c, c.conj()) - 0.5 * np.kron(cdc, _I3) - 0.5 * np.kron(_I3, cdc.T)
+
+
+_D21 = _kron_dissipator(np.outer(_I3[0], _I3[1]))
+_D32 = _kron_dissipator(np.outer(_I3[1], _I3[2]))
+
+
+def kron_liouvillian(p):
+    """The generator in its two-kron form: the bitwise oracle of liouvillian()'s broadcast assembly."""
+    h = build_hamiltonian(p)
+    return -1j * (np.kron(h, _I3) - np.kron(_I3, h.T)) + p.gamma2 * _D21 + p.gamma3 * _D32
+
+
+_EDGE_POINTS = [
+    SystemParams(3.0, 4.0, 0.5, -1.5, gamma2=0.0, gamma3=0.0),
+    SystemParams(0.0, 0.0, 0.0, 0.0, gamma2=0.0, gamma3=0.0),
+    SystemParams(0.0, 0.0, 1.0, 2.0),
+    SystemParams(0.0, 6.0, -2.0, 0.0),
+    SystemParams(6.0, 0.0, 0.0, -2.0, gamma3=0.0),
+    SystemParams(3.0, 4.0, -0.0, -0.0),
+    SystemParams(3.0, 4.0, -0.0, 0.0, gamma3=0.0),
+    SystemParams(3.0, 4.0, 0.0, -0.0),
+    SystemParams(3.0, 4.0, -2.5, -3.5),
+    SystemParams(3.0, 4.0, -2.5, 2.5, gamma3=0.0),
+    SystemParams(1e308, 1e308),
+]
+
+
+@pytest.mark.parametrize("p", _EDGE_POINTS, ids=repr)
+def test_liouvillian_bitwise_kron_form_at_edges(p):
+    assert liouvillian(p).tobytes() == kron_liouvillian(p).tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(p=_box_params)
+def test_liouvillian_bitwise_kron_form_on_parameter_box(p):
+    assert liouvillian(p).tobytes() == kron_liouvillian(p).tobytes()
+
+
+def _steady_state_points():
+    """50 seeded points: schemes I and II, each at and off two-photon resonance."""
+    rng = np.random.default_rng(20261018)
+    points = []
+    for k in range(50):
+        p = random_params(rng, scheme="I" if k % 2 == 0 else "II")
+        points.append(p.with_value("delta2", -p.delta1) if k % 4 < 2 else p)
+    return points
+
+
+def test_steady_state_bitwise_kron_oracle_path():
+    points = _steady_state_points()
+    assert sum(p.two_photon_detuning == 0.0 for p in points) == 26
+    for p in points:
+        rho = null_space_unit_trace(kron_liouvillian(p))
+        assert float(np.linalg.eigvalsh(rho).min()) >= -1e-10
+        assert steady_state(p).tobytes() == rho.tobytes()
 
 
 class TestSteadyState:

@@ -104,6 +104,19 @@ def test_overflowing_decomposition_is_no_steady_state():
         null_space_unit_trace(ell)
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, np.nan),
+                                 complex(0.0, -np.inf)], ids=["real nan", "real inf", "imag nan", "imag -inf"])
+def test_non_finite_real_or_imaginary_part_rejected(rng, bad):
+    ell = liouvillian(SystemParams(6.0, 6.0))
+    ell[4, 2] = bad
+    with pytest.raises(ContractViolationError, match="matrix has non-finite entries"):
+        null_space_unit_trace(ell)
+    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    stack[2, 1, 1] = bad
+    with pytest.raises(ContractViolationError, match="matrix has non-finite entries"):
+        hermitian_eig(stack)
+
+
 def test_null_residual_invariant(rng):
     for _ in range(10):
         p = SystemParams(rng.uniform(0.5, 6), rng.uniform(0.5, 6),
