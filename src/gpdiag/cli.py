@@ -110,7 +110,7 @@ def _cmd_sweep(args) -> int:
     config_path = Path(args.config)
     try:
         text = config_path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {config_path}: {err}") from err
     spec = parse_config(text)
     spec = _apply_sweep_overrides(spec, args)

@@ -35,6 +35,29 @@ class UndefinedPhaseError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class AxisSpec:
+    """Uniform axis of `samples` values of `parameter` over [start, stop]; the one check of an axis."""
+
+    parameter: str
+    start: float
+    stop: float
+    samples: int
+
+    def __post_init__(self):
+        if self.parameter not in SWEEPABLE:
+            raise ValueError(f"unknown axis parameter {self.parameter!r}")
+        if not (self.start < self.stop):
+            raise ValueError(f"axis start must be < stop, got [{self.start}, {self.stop}]")
+        if not np.isfinite(self.stop - self.start):
+            raise ValueError(f"axis span stop - start must be finite, got [{self.start}, {self.stop}]")
+        if self.samples < 2:
+            raise ValueError(f"axis samples must be >= 2, got {self.samples}")
+
+    def values(self) -> np.ndarray:
+        return np.linspace(self.start, self.stop, self.samples)
+
+
+@dataclass(frozen=True)
 class PathSpec:
     """Uniform 1-D path in control-parameter space: `varying` runs over [start, stop]."""
 
@@ -45,14 +68,7 @@ class PathSpec:
     samples: int
 
     def __post_init__(self):
-        if self.varying not in SWEEPABLE:
-            raise ValueError(f"unknown path parameter {self.varying!r}; expected one of {SWEEPABLE}")
-        if not (self.start < self.stop):
-            raise ValueError(f"start must be < stop, got [{self.start}, {self.stop}]")
-        if not np.isfinite(self.stop - self.start):
-            raise ValueError(f"span stop - start must be finite, got [{self.start}, {self.stop}]")
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
+        AxisSpec(self.varying, self.start, self.stop, self.samples)
         # parameter constraints are interval constraints, so endpoint validity
         # implies validity of every sample
         self.params_at(self.start)

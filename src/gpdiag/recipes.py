@@ -5,7 +5,7 @@ the derivative-surface maps, the fluctuation-map window) are frozen in one
 table per recipe, keyed as in its sidecar <id>_meta.json: the recipe reads its
 inputs from the table, and run_recipe writes the table, plus the run-time
 entries, as the sidecar.  Every recipe except fig4 is a table of delta1
-columns evaluated by sweep._column_outputs.  All outputs are deterministic for
+columns evaluated by sweep.path_columns.  All outputs are deterministic for
 a given sample count, independent of the worker count.
 """
 
@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
-from gpdiag.gp import PathSpec, UndefinedPhaseError, fix_global_phase, gp_derivative, pancharatnam_phase, unwrap_phases
+from gpdiag.gp import AxisSpec, UndefinedPhaseError, fix_global_phase, gp_derivative, pancharatnam_phase, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon
-from gpdiag.sweep import _column_outputs, grid_rows, map_columns, write_tables
+from gpdiag.sweep import map_columns, path_columns, write_tables
 
 # fewest samples per axis of each recipe; fig4 and fig5 differentiate along it,
 # which takes 3 points; at 2 samples the transport correction cancels the only
@@ -38,15 +38,9 @@ class RecipeResult:
     undefined_points: int = 0
 
 
-def _delta1_columns(bases, span, samples, outputs, jobs):
-    """`outputs` along delta1 over `span` from each base point; returns (delta1 values, columns)."""
-    specs = [PathSpec(base, "delta1", *span, samples) for base in bases]
-    return specs[0].values(), map_columns(_column_outputs, [(spec, outputs) for spec in specs], jobs)
-
-
 # Each recipe runs as run(recipe_id, table, samples, jobs, gamma2, gamma3) and
-# returns (tables, entries): one (file name, header, *grid_rows(...)) table per
-# CSV, and the run-time entries of the sidecar.
+# returns (tables, entries): one sweep.write_tables table per CSV, and the
+# run-time entries of the sidecar.
 
 # ---------------------------------------------------------------------------
 # fig2: steady-state eigenvalues vs two-photon detuning
@@ -62,10 +56,9 @@ _FIG2 = {
 def _run_fig2(recipe_id, t, samples, jobs, gamma2, gamma3):
     bases = [SystemParams(c["omega1"], c["omega2"], 0.0, 0.0, gamma2,
                           DEFAULT_GAMMA3_IDEAL if c["scheme"] == "ii" else gamma3) for c in t["combos"]]
-    deltas, columns = _delta1_columns(bases, t["delta_range"], samples, ("eigenvalues",), jobs)
+    deltas, columns = path_columns(bases, AxisSpec("delta1", *t["delta_range"], samples), ("eigenvalues",), jobs)
     tables = [(f"fig2_{c['scheme']}_{c['omega1']:g}_{c['omega2']:g}.csv", ["delta", "lambda1", "lambda2", "lambda3"],
-               *grid_rows(deltas, [None], [column]))
-              for c, column in zip(t["combos"], columns)]
+               deltas, [None], [column]) for c, column in zip(t["combos"], columns)]
     return tables, {"samples": samples, "gamma3_scheme_i": gamma3}
 
 
@@ -85,9 +78,8 @@ def _run_fig3(recipe_id, t, samples, jobs, gamma2, gamma3):
     g3 = DEFAULT_GAMMA3_IDEAL if t["scheme"] == "II" else gamma3
     doms = np.linspace(*t["omega1_minus_omega2_range"], samples)
     bases = [SystemParams(t["omega2"] + dom, t["omega2"], 0.0, 0.0, gamma2, g3) for dom in doms]
-    deltas, columns = _delta1_columns(bases, t["delta_range"], samples, ("concurrence",), jobs)
-    table = grid_rows(deltas, doms, columns)
-    return [(f"{recipe_id}.csv", ["delta", "omega1_minus_omega2", "concurrence"], *table)], \
+    deltas, columns = path_columns(bases, AxisSpec("delta1", *t["delta_range"], samples), ("concurrence",), jobs)
+    return [(f"{recipe_id}.csv", ["delta", "omega1_minus_omega2", "concurrence"], deltas, doms, columns)], \
         {"samples_per_axis": samples, "gamma3": g3}
 
 
@@ -157,9 +149,8 @@ def _run_fig4(recipe_id, t, samples, jobs, gamma2, gamma3):
         surfaces = {"ideal": [_fig4_ideal_column(x0, dx, o2, gamma2, deltas) for dx in dxs]}
         for variant, _ in variants:
             surfaces[variant] = [next(numeric) for _ in dxs]
-        for variant, columns in surfaces.items():
-            tables.append((f"fig4_{window}_{variant}.csv", ["delta_offset", "dX", "dgamma_dDelta"],
-                           *grid_rows(deltas, dxs, columns)))
+        tables += [(f"fig4_{window}_{variant}.csv", ["delta_offset", "dX", "dgamma_dDelta"], deltas, dxs, columns)
+                   for variant, columns in surfaces.items()]
     return tables, {"delta_samples": samples, "gamma3_scheme1": gamma3}
 
 
@@ -178,8 +169,8 @@ _FIG5 = {
 
 def _run_fig5(recipe_id, t, samples, jobs, gamma2, gamma3):
     bases = [SystemParams(p["omega1"], p["omega2"], 0.0, p["delta2"], gamma2, gamma3) for p in t["panels"]]
-    deltas, columns = _delta1_columns(bases, t["delta1_range"], samples, ("gamma_g", "dgamma"), jobs)
-    tables = [(p["file"], ["delta1", "gamma_g", "dgamma"], *grid_rows(deltas, [None], [column]))
+    deltas, columns = path_columns(bases, AxisSpec("delta1", *t["delta1_range"], samples), ("gamma_g", "dgamma"), jobs)
+    tables = [(p["file"], ["delta1", "gamma_g", "dgamma"], deltas, [None], [column])
               for p, column in zip(t["panels"], columns)]
     return tables, {"samples": samples, "gamma3": gamma3}
 
@@ -205,14 +196,14 @@ def _run_fig6(recipe_id, t, samples, jobs, gamma2, gamma3):
     panel = _FIG5["panels"][0]
     bases = [SystemParams(panel["omega1"] + dom, panel["omega2"], 0.0, dfl, gamma2, gamma3)
              for dom in doms for dfl in dfls]
-    _, columns = _delta1_columns(bases, _FIG5["delta1_range"], samples, ("gamma_g",), jobs)
+    _, columns = path_columns(bases, AxisSpec("delta1", *_FIG5["delta1_range"], samples), ("gamma_g",), jobs)
     # a cell is the endpoint gamma_g of its delta1 column; cells[i_dom, i_dfl]
     cells = np.array([column[-1, 0] for column in columns]).reshape(n_om, n_dl)
     base = float(cells[n_om // 2, n_dl // 2])  # the unperturbed reference at (0, 0)
     if not abs(base) >= 1e-12:  # a NaN gap fails this too
         raise NoSteadyStateError("fig6 reference sweep produced no usable gamma_g")
-    table = grid_rows(dfls, doms, ((cells - base) / abs(base) * 100.0)[..., None])
-    return [("fig6.csv", ["delta", "omega1_minus_omega2", "gamma_g_change_percent"], *table)], \
+    return [("fig6.csv", ["delta", "omega1_minus_omega2", "gamma_g_change_percent"],
+             dfls, doms, ((cells - base) / abs(base) * 100.0)[..., None])], \
         {"path_samples": samples, "gamma3": gamma3, "reference_gamma_g": base}
 
 
@@ -238,7 +229,6 @@ def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
     if samples < MIN_SAMPLES[recipe_id]:
         raise ValueError(f"{recipe_id} needs samples >= {MIN_SAMPLES[recipe_id]}, got {samples}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     run, table = _RECIPES[recipe_id]
     tables, entries = run(recipe_id, table, samples, jobs, gamma2, gamma3)
     files, undefined = write_tables(out_dir, tables, "recipe")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
-from gpdiag.gp import SWEEPABLE, PathSpec, UndefinedPhaseError, gp_curve_from_states, gp_derivative
+from gpdiag.gp import AxisSpec, PathSpec, UndefinedPhaseError, gp_curve_from_states, gp_derivative
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 
@@ -36,27 +36,6 @@ _AXIS_KEYS = ("parameter", "start", "stop", "samples")
 
 class ConfigError(ValueError):
     """Malformed sweep configuration (carries a line number when known)."""
-
-
-@dataclass(frozen=True)
-class AxisSpec:
-    parameter: str
-    start: float
-    stop: float
-    samples: int
-
-    def __post_init__(self):
-        if self.parameter not in SWEEPABLE:
-            raise ConfigError(f"unknown axis parameter {self.parameter!r}")
-        if not (self.start < self.stop):
-            raise ConfigError(f"axis start must be < stop, got [{self.start}, {self.stop}]")
-        if not math.isfinite(self.stop - self.start):
-            raise ConfigError(f"axis span stop - start must be finite, got [{self.start}, {self.stop}]")
-        if self.samples < 2:
-            raise ConfigError(f"axis samples must be >= 2, got {self.samples}")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.samples)
 
 
 @dataclass(frozen=True)
@@ -119,6 +98,10 @@ def parse_config(text: str) -> SweepSpec:
         parser.read_string(text)
     except configparser.MissingSectionHeaderError as err:
         raise ConfigError(f"line {err.lineno}: content before any section header") from err
+    except configparser.DuplicateSectionError as err:
+        raise ConfigError(f"line {err.lineno}: repeated section [{err.section}]") from err
+    except configparser.DuplicateOptionError as err:
+        raise ConfigError(f"line {err.lineno}: repeated key {err.option!r} in [{err.section}]") from err
     except configparser.ParsingError as err:
         lines = ", ".join(str(lineno) for lineno, _ in err.errors)
         raise ConfigError(f"syntax error at line(s) {lines}") from err
@@ -153,10 +136,11 @@ def parse_config(text: str) -> SweepSpec:
             samples = int(section["samples"])
         except ValueError as err:
             raise ConfigError(f"[{section_name}]: samples must be an integer") from err
-        return AxisSpec(section["parameter"].strip(),
-                        _get_float(section, "start", f"[{section_name}]"),
-                        _get_float(section, "stop", f"[{section_name}]"),
-                        samples)
+        start, stop = (_get_float(section, key, f"[{section_name}]") for key in ("start", "stop"))
+        try:
+            return AxisSpec(section["parameter"].strip(), start, stop, samples)
+        except ValueError as err:
+            raise ConfigError(f"[{section_name}]: {err}") from err
 
     axis1 = axis_from("axis1")
     axis2 = axis_from("axis2") if "axis2" in parser else None
@@ -231,6 +215,12 @@ def _column_outputs(spec: PathSpec, outputs) -> np.ndarray:
     return table
 
 
+def path_columns(bases, axis: AxisSpec, outputs, jobs):
+    """`outputs` along `axis` from each base point; returns (axis values, one _column_outputs column per base)."""
+    specs = [PathSpec(base, axis.parameter, axis.start, axis.stop, axis.samples) for base in bases]
+    return axis.values(), map_columns(_column_outputs, [(spec, outputs) for spec in specs], jobs)
+
+
 def grid_rows(axis1_values, axis2_values, columns):
     """Rows of a table whose columns[i2] is the (axis1 samples, fields) float array of one column, NaN at gaps.
 
@@ -246,17 +236,18 @@ def grid_rows(axis1_values, axis2_values, columns):
 
 
 def write_tables(out_dir: Path, tables, source: str):
-    """Write (file name, header, rows, undefined, defined) tables into out_dir.
+    """Write (file name, header, axis1 values, axis2 values, columns) tables, laid out by grid_rows, into out_dir.
 
     Returns (paths, undefined point count).  Raises NoSteadyStateError, and
-    writes nothing, when no point of any table produced a value.
+    creates and writes nothing, when no point of any table produced a value.
     """
+    tables = [(name, header, *grid_rows(*grid)) for name, header, *grid in tables]
     if not any(defined for *_, defined in tables):
         raise NoSteadyStateError(f"no sample point of the {source} produced a value")
-    paths = []
-    for name, header, rows, _, _ in tables:
-        paths.append(out_dir / name)
-        write_csv(paths[-1], header, rows)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name, *_ in tables]
+    for path, (_, header, rows, _, _) in zip(paths, tables):
+        write_csv(path, header, rows)
     return paths, sum(undefined for *_, undefined, _ in tables)
 
 
@@ -266,19 +257,15 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1):
     The undefined count is the number of grid points with at least one empty
     output field.  Raises NoSteadyStateError if every sample point failed.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     axis1, axis2 = spec.axis1, spec.axis2
     axis2_values = [None] if axis2 is None else list(axis2.values())
-    payloads = [(PathSpec(spec.base if v is None else spec.base.with_value(axis2.parameter, v),
-                          axis1.parameter, axis1.start, axis1.stop, axis1.samples), spec.outputs)
-                for v in axis2_values]
-    columns = map_columns(_column_outputs, payloads, jobs)
+    bases = [spec.base if v is None else spec.base.with_value(axis2.parameter, v) for v in axis2_values]
+    axis1_values, columns = path_columns(bases, axis1, spec.outputs, jobs)
     header = [axis1.parameter]
     if axis2 is not None:
         header.append(axis2.parameter)
     for out in spec.outputs:
         header.extend(_FIELDS[out])
-    table = grid_rows(axis1.values(), axis2_values, columns)
-    paths, undefined = write_tables(out_dir, [(spec.path, header, *table)], "sweep")
+    table = (spec.path, header, axis1_values, axis2_values, columns)
+    paths, undefined = write_tables(Path(out_dir), [table], "sweep")
     return paths[0], undefined

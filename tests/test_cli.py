@@ -174,6 +174,22 @@ samples = 5
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("data, detail", [
+        (SWEEP_1D.replace("scheme = I", "scheme = I\nscheme = II").encode(), "line 3: repeated key 'scheme' in [sweep]"),
+        ((SWEEP_1D + "\n[axis1]\nparameter = omega1\n").encode(), "line 12: repeated section [axis1]"),
+        (b"; caf\xff\n" + SWEEP_1D.encode(), "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["repeated_key", "repeated_section", "not_utf8"])
+    def test_unreadable_config_is_one_line(self, data, detail, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_bytes(data)
+        code = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("gpdiag: config error: ")
+        assert err.count("\n") == 1
+        assert detail in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_positive_null_vectors_are_gaps(self, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
         config.write_text(SWEEP_1D.replace("scheme = I", "scheme = II\nomega1 = 1e7\nomega2 = 1e7")

@@ -4,6 +4,7 @@ import pytest
 import gpdiag.sweep
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams
 from gpdiag.gp import PathSpec, gp_curve_from_states, gp_derivative, sample_path
+from gpdiag.linops import NoSteadyStateError
 from gpdiag.sweep import (
     AxisSpec, ConfigError, SweepSpec, format_field, map_columns, parse_config, run_sweep,
 )
@@ -133,6 +134,29 @@ class TestParseConfig:
     def test_rejected_config(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
+
+
+@pytest.mark.parametrize("parameter, start, stop, samples", [
+    ("banana", -1.0, 1.0, 5), ("delta1", 1.0, 1.0, 5), ("delta1", -1e308, 1e308, 5), ("delta1", -1.0, 1.0, 1),
+], ids=["unknown_parameter", "empty_range", "infinite_span", "one_sample"])
+def test_path_and_config_share_the_axis_check(parameter, start, stop, samples):
+    with pytest.raises(ValueError) as path_err:
+        PathSpec(SystemParams(6.0, 6.0), parameter, start, stop, samples)
+    axis = f"[axis1]\nparameter = {parameter}\nstart = {start!r}\nstop = {stop!r}\nsamples = {samples}\n"
+    with pytest.raises(ConfigError) as config_err:
+        parse_config(MINIMAL[:MINIMAL.index("[axis1]")] + axis)
+    assert str(config_err.value) == f"[axis1]: {path_err.value}"
+
+
+def test_total_failure_creates_no_directory(tmp_path):
+    from gpdiag.recipes import run_recipe
+
+    # with no decay the steady state is degenerate at every point
+    with pytest.raises(NoSteadyStateError):
+        run_recipe("fig2", tmp_path / "new", samples=3, gamma2=0.0, gamma3=0.0)
+    with pytest.raises(NoSteadyStateError):
+        run_sweep(parse_config(MINIMAL.replace("scheme = I", "scheme = II\ngamma2 = 0")), tmp_path / "sweep")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestRunSweep:
