@@ -9,9 +9,9 @@ from gpdiag.gp import (
     UndefinedPhaseError,
     gp_derivative,
     mixed_state_gp,
-    pancharatnam_phase,
     sample_path,
     track_spectrum,
+    two_point_phases,
 )
 from gpdiag.linops import (
     ContractViolationError,
@@ -45,9 +45,9 @@ __all__ = [
     "liouvillian",
     "mixed_state_gp",
     "null_space_unit_trace",
-    "pancharatnam_phase",
     "purity",
     "sample_path",
     "steady_state",
     "track_spectrum",
+    "two_point_phases",
 ]

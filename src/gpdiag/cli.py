@@ -109,11 +109,14 @@ def _cmd_recipe(args) -> int:
 def _cmd_sweep(args) -> int:
     config_path = Path(args.config)
     try:
-        text = config_path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
+        data = config_path.read_bytes()
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # universal newlines, as read_text
+    except OSError as err:
         raise ConfigError(f"cannot read config {config_path}: {err}") from err
-    spec = parse_config(text)
-    spec = _apply_sweep_overrides(spec, args)
+    except UnicodeDecodeError as err:
+        line = data[:err.start].count(b"\n") + 1
+        raise ConfigError(f"line {line}: byte 0x{data[err.start]:02x} is not valid UTF-8") from err
+    spec = _apply_sweep_overrides(parse_config(text), args)
     path, undefined = run_sweep(spec, args.out, jobs=args.jobs)
     print(path)
     print(f"undefined points: {undefined}", file=sys.stderr)
@@ -122,13 +125,9 @@ def _cmd_sweep(args) -> int:
 
 def _apply_sweep_overrides(spec, args):
     rates = {key: getattr(args, key) for key in ("gamma2", "gamma3") if getattr(args, key) is not None}
-    base = dataclasses.replace(spec.base, **rates)
-    axis1, axis2 = spec.axis1, spec.axis2
-    if args.samples is not None:
-        axis1 = dataclasses.replace(axis1, samples=args.samples)
-        if axis2 is not None:
-            axis2 = dataclasses.replace(axis2, samples=args.samples)
-    return dataclasses.replace(spec, base=base, axis1=axis1, axis2=axis2)
+    axes = {name: dataclasses.replace(axis, samples=args.samples) for name, axis in
+            (("axis1", spec.axis1), ("axis2", spec.axis2)) if axis is not None and args.samples is not None}
+    return dataclasses.replace(spec, base=dataclasses.replace(spec.base, **rates), **axes)
 
 
 def _cmd_steady(args) -> int:
@@ -151,10 +150,21 @@ def _cmd_steady(args) -> int:
     return 0
 
 
+def _check_out(out: str) -> None:
+    """Raise OSError unless the nearest existing ancestor of `out` is a writable directory; creates nothing."""
+    path = Path(out).absolute()
+    while not path.exists():
+        path = path.parent
+    if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
+        raise OSError(f"--out {out}: {path} is not a writable directory")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "steady":
+            _check_out(args.out)  # before any steady state is solved
         if args.command == "recipe":
             return _cmd_recipe(args)
         if args.command == "sweep":

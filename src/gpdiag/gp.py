@@ -218,32 +218,36 @@ def mixed_state_gp(traj: SpectralTrajectory) -> GeometricPhaseResult:
     return GeometricPhaseResult(float(np.angle(total)), terms, traj.resolution_warning)
 
 
-def pancharatnam_phase(psi0: np.ndarray, psi1: np.ndarray) -> float:
-    """Arg<psi0|psi1> in (-pi, pi] for normalized pure states.
-
-    Raises UndefinedPhaseError for (numerically) orthogonal states.
-    """
-    psi0 = np.asarray(psi0, dtype=complex)
-    psi1 = np.asarray(psi1, dtype=complex)
-    for name, psi in (("psi0", psi0), ("psi1", psi1)):
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"{name} is not normalized: |psi| = {norm:.12f}")
-    ov = np.vdot(psi0, psi1)
-    if abs(ov) < EPS_VIS:
-        raise UndefinedPhaseError(f"|<psi0|psi1>| = {abs(ov):.3e}: phase undefined")
-    return float(np.angle(ov))
-
-
 def fix_global_phase(psi: np.ndarray) -> np.ndarray:
-    """Rotate a state vector so its first component is real and nonnegative.
+    """Rotate each state vector of an (..., n) stack so its first component is real and nonnegative.
 
-    This is the |00> gauge; when the first amplitude is at most GAUGE_TOL
+    This is the |00> gauge; where the first amplitude is at most GAUGE_TOL
     the largest-magnitude component is made real and positive instead.
+    Magnitudes are hypot(re, im), which rounds as the scalar abs does.
     """
     psi = np.asarray(psi, dtype=complex)
-    pivot = 0 if abs(psi[0]) > GAUGE_TOL else int(np.argmax(np.abs(psi)))
-    return psi * (abs(psi[pivot]) / psi[pivot])
+    mags = np.hypot(psi.real, psi.imag)
+    pivot = np.where(mags[..., 0] > GAUGE_TOL, 0, np.argmax(mags, axis=-1))[..., None]
+    return psi * (np.take_along_axis(mags, pivot, axis=-1) / np.take_along_axis(psi, pivot, axis=-1))
+
+
+def two_point_phases(reference, states) -> np.ndarray:
+    """Arg<psi_ref|psi_j> for a 3x3 photon state and an (N, 3, 3) stack, as a float array.
+
+    psi is the dominant eigenvector (largest eigenvalue) in the |00> gauge of
+    fix_global_phase.  One stacked hermitian_eig decomposes [reference,
+    *states], so each entry is what its state gives alone.  Raises
+    UndefinedPhaseError when any |<psi_ref|psi_j>| is below EPS_VIS.
+    """
+    rhos = np.concatenate([np.asarray(reference, dtype=complex)[None], np.asarray(states, dtype=complex)])
+    psi = fix_global_phase(hermitian_eig(rhos).eigenvectors[..., -1])
+    # (1, n) @ (n, 1) matmuls are np.vdot's sum, bitwise
+    overlaps = (psi[0].conj()[None, None, :] @ psi[1:, :, None])[:, 0, 0]
+    mags = np.hypot(overlaps.real, overlaps.imag)
+    j = int(np.argmin(mags))
+    if mags[j] < EPS_VIS:
+        raise UndefinedPhaseError(f"|<psi_ref|psi_{j}>| = {mags[j]:.3e}: phase undefined")
+    return np.angle(overlaps)
 
 
 def unwrap_phases(values) -> np.ndarray:

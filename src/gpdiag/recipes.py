@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
-from gpdiag.gp import AxisSpec, UndefinedPhaseError, fix_global_phase, gp_derivative, pancharatnam_phase, unwrap_phases
+from gpdiag.gp import AxisSpec, UndefinedPhaseError, gp_derivative, two_point_phases, unwrap_phases
 from gpdiag.ideal import taylor_gp
-from gpdiag.linops import NoSteadyStateError, hermitian_eig
+from gpdiag.linops import NoSteadyStateError
 from gpdiag.photons import atomic_to_photon
 from gpdiag.sweep import map_columns, path_columns, write_tables
 
@@ -113,12 +113,6 @@ def _fig4_ideal_column(x0, dx, omega2, gamma2, deltas):
     return _fig4_slopes([taylor_gp(x0, d, dx, g21) for d in deltas], deltas)
 
 
-def _fig4_dominant_vector(p: SystemParams) -> np.ndarray:
-    """Dominant eigenvector of the photon steady state, in the |00>-component gauge."""
-    rho = atomic_to_photon(steady_state(p))
-    return fix_global_phase(hermitian_eig(rho).eigenvectors[:, -1])
-
-
 def _fig4_numeric_column(x0, dx, omega2, gamma2, gamma3, deltas):
     x = x0 + dx
     gaps = np.full((len(deltas), 1), np.nan)
@@ -127,9 +121,10 @@ def _fig4_numeric_column(x0, dx, omega2, gamma2, gamma3, deltas):
     o1 = math.tan(x) * omega2
     w = math.hypot(o1, omega2)
     try:
-        ref = _fig4_dominant_vector(SystemParams(math.tan(x0) * omega2, omega2, 0.0, 0.0, gamma2, gamma3))
-        gammas = [pancharatnam_phase(ref, _fig4_dominant_vector(SystemParams(o1, omega2, d * w, 0.0, gamma2, gamma3)))
-                  for d in deltas]
+        # the window base state first, then the column's points
+        states = [atomic_to_photon(steady_state(SystemParams(o, omega2, d, 0.0, gamma2, gamma3)))
+                  for o, d in [(math.tan(x0) * omega2, 0.0), *((o1, d * w) for d in deltas)]]
+        gammas = two_point_phases(states[0], states[1:])
     except (NoSteadyStateError, UndefinedPhaseError):
         return gaps
     return _fig4_slopes(gammas, deltas)

@@ -74,12 +74,6 @@ class SweepSpec:
                 raise ConfigError(f"grid corner {where}: {err}") from err
 
 
-def _default_base(scheme: str) -> SystemParams:
-    gamma3 = DEFAULT_GAMMA3_IDEAL if scheme == "II" else DEFAULT_GAMMA3_REAL
-    return SystemParams(omega1=6.0, omega2=6.0, delta1=0.0, delta2=0.0,
-                        gamma2=DEFAULT_GAMMA2, gamma3=gamma3)
-
-
 def _get_float(section, key, lineno_hint) -> float:
     raw = section[key]
     try:
@@ -112,20 +106,19 @@ def parse_config(text: str) -> SweepSpec:
         for key in parser[section]:
             if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-    if "sweep" not in parser:
-        raise ConfigError("missing [sweep] section")
-    if "axis1" not in parser:
-        raise ConfigError("missing [axis1] section")
+    for section in ("sweep", "axis1"):
+        if section not in parser:
+            raise ConfigError(f"missing [{section}] section")
     sweep = parser["sweep"]
     scheme = sweep.get("scheme", "I")
     overrides = {key: _get_float(sweep, key, "[sweep]") for key in _PARAM_KEYS if key in sweep}
+    # the defaults of a scheme: omega1 = omega2 = 6 on resonance, with its decay rates
+    default_gamma3 = DEFAULT_GAMMA3_IDEAL if scheme == "II" else DEFAULT_GAMMA3_REAL
     try:
-        base = replace(_default_base(scheme), **overrides)
+        base = replace(SystemParams(6.0, 6.0, 0.0, 0.0, DEFAULT_GAMMA2, default_gamma3), **overrides)
     except ValueError as err:
         raise ConfigError(f"[sweep]: {err}") from err
-    outputs_raw = sweep.get("outputs", "purity")
-    outputs = tuple(token.strip() for token in outputs_raw.split(",") if token.strip())
-    path = sweep.get("path", "sweep.csv")
+    outputs = tuple(token.strip() for token in sweep.get("outputs", "purity").split(",") if token.strip())
 
     def axis_from(section_name):
         section = parser[section_name]
@@ -144,7 +137,7 @@ def parse_config(text: str) -> SweepSpec:
 
     axis1 = axis_from("axis1")
     axis2 = axis_from("axis2") if "axis2" in parser else None
-    return SweepSpec(scheme, base, axis1, axis2, outputs, path)
+    return SweepSpec(scheme, base, axis1, axis2, outputs, sweep.get("path", "sweep.csv"))
 
 
 def format_field(value: float) -> str:
@@ -261,11 +254,8 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1):
     axis2_values = [None] if axis2 is None else list(axis2.values())
     bases = [spec.base if v is None else spec.base.with_value(axis2.parameter, v) for v in axis2_values]
     axis1_values, columns = path_columns(bases, axis1, spec.outputs, jobs)
-    header = [axis1.parameter]
-    if axis2 is not None:
-        header.append(axis2.parameter)
-    for out in spec.outputs:
-        header.extend(_FIELDS[out])
+    header = [axis.parameter for axis in (axis1, axis2) if axis is not None] + [
+        field for out in spec.outputs for field in _FIELDS[out]]
     table = (spec.path, header, axis1_values, axis2_values, columns)
     paths, undefined = write_tables(Path(out_dir), [table], "sweep")
     return paths[0], undefined

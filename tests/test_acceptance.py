@@ -16,12 +16,11 @@ from gpdiag.cascade import SystemParams, lindblad_rhs, steady_state
 from gpdiag.gp import (
     PathSpec,
     SpectralTrajectory,
-    fix_global_phase,
     gp_derivative,
     mixed_state_gp,
-    pancharatnam_phase,
     sample_path,
     track_spectrum,
+    two_point_phases,
     unwrap_phases,
 )
 from gpdiag.ideal import taylor_gp
@@ -163,8 +162,8 @@ def test_criterion_06_plateau_and_slope_ordering():
 
     The quantity is the phase that ideal.taylor_gp expands and fig4
     differentiates: gamma(delta1) = Arg<psi(0)|psi(delta1)> of the dominant
-    photon eigenvector in the |00> gauge, relative to the resonant state.  It
-    is not gp.py's transported gamma_g (see the README).
+    photon eigenvector in the |00> gauge (gp.two_point_phases), relative to the
+    resonant state.  It is not gp.py's transported gamma_g (see the README).
 
     Ordering clause: on |delta1| < 0.25 the largest |dgamma/ddelta1| is
     strictly smaller at the Bell setting (omega1, omega2) = (6, 6) than at the
@@ -187,15 +186,13 @@ def test_criterion_06_plateau_and_slope_ordering():
     settings = {"bell": 6.0, "sep": 3.0}
     schemes = {"I": SystemParams, "II": functools.partial(SystemParams, gamma3=0.0)}
 
-    def dominant(p):
-        vec = hermitian_eig(atomic_to_photon(steady_state(p))).eigenvectors[:, -1]
-        return fix_global_phase(vec)
+    def photon(p):
+        return atomic_to_photon(steady_state(p))
 
     def central_slope(scheme, omega1):
-        ref = dominant(scheme(omega1, 6.0))
-        gammas = unwrap_phases([
-            pancharatnam_phase(ref, dominant(scheme(omega1, 6.0, delta1=d))) for d in deltas
-        ])
+        gammas = unwrap_phases(two_point_phases(
+            photon(scheme(omega1, 6.0)), [photon(scheme(omega1, 6.0, delta1=d)) for d in deltas]
+        ))
         deriv = np.array(gp_derivative(gammas, deltas[1] - deltas[0]))
         return float(np.abs(deriv[inside]).max())
 
@@ -266,14 +263,8 @@ def test_criterion_08_taylor_cross_validation():
         slope = taylor_gp(x, d_small, 0.0, gamma21) / d_small
         slope_err = max(slope_err, abs(slope - (-gamma21 * math.cos(x) ** 2)))
         # full numeric relative phase of the dominant eigenvectors
-        ref = fix_global_phase(
-            hermitian_eig(atomic_to_photon(steady_state(p0))).eigenvectors[:, -1]
-        )
         p1 = scheme_ii_at_angle(x, delta1=delta * p0.total_rabi)
-        now = fix_global_phase(
-            hermitian_eig(atomic_to_photon(steady_state(p1))).eigenvectors[:, -1]
-        )
-        numeric = pancharatnam_phase(ref, now)
+        [numeric] = two_point_phases(atomic_to_photon(steady_state(p0)), [atomic_to_photon(steady_state(p1))])
         predicted = taylor_gp(x, delta, 0.0, gamma21)
         worst_rel = max(worst_rel, abs(predicted - numeric) / abs(numeric))
     elapsed = time.perf_counter() - start

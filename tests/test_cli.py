@@ -1,5 +1,8 @@
 import pytest
 
+import gpdiag.gp
+import gpdiag.recipes
+import gpdiag.sweep
 from gpdiag.cli import main
 
 
@@ -177,8 +180,9 @@ samples = 5
     @pytest.mark.parametrize("data, detail", [
         (SWEEP_1D.replace("scheme = I", "scheme = I\nscheme = II").encode(), "line 3: repeated key 'scheme' in [sweep]"),
         ((SWEEP_1D + "\n[axis1]\nparameter = omega1\n").encode(), "line 12: repeated section [axis1]"),
-        (b"; caf\xff\n" + SWEEP_1D.encode(), "'utf-8' codec can't decode byte 0xff"),
-    ], ids=["repeated_key", "repeated_section", "not_utf8"])
+        (b"; caf\xff\n" + SWEEP_1D.encode(), "line 1: byte 0xff is not valid UTF-8"),
+        (SWEEP_1D.encode().replace(b"out.csv", b"caf\xe9.csv"), "line 4: byte 0xe9 is not valid UTF-8"),
+    ], ids=["repeated_key", "repeated_section", "not_utf8", "not_utf8_later_line"])
     def test_unreadable_config_is_one_line(self, data, detail, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
         config.write_bytes(data)
@@ -268,6 +272,15 @@ samples = 9
         assert flag_bytes == (from_config / "out.csv").read_bytes()
         assert flag_bytes != (tmp_path / "default" / "out.csv").read_bytes()
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_endings_read_as_lf(self, newline, tmp_path, capsys):
+        for name, ending in (("lf", b"\n"), ("other", newline)):
+            (tmp_path / f"{name}.ini").write_bytes(SWEEP_1D.encode().replace(b"\n", ending))
+            assert run_cli(["sweep", "--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / name),
+                            "--jobs", "1"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "other" / "out.csv").read_bytes() == (tmp_path / "lf" / "out.csv").read_bytes()
+
     def test_samples_flag_shrinks_both_axes(self, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
         config.write_text(SWEEP_1D + "\n[axis2]\nparameter = omega1\nstart = 2\nstop = 6\nsamples = 5\n")
@@ -295,6 +308,27 @@ class TestRecipeCommand:
                         "--jobs", "1"])
         assert code == 1
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["recipe", "sweep"])
+    @pytest.mark.parametrize("out", ["blocked", "blocked/x/y"], ids=["file", "below_file"])
+    def test_unusable_out_fails_before_any_steady_state(self, command, out, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recording(real):
+            return lambda p: calls.append(p) or real(p)
+
+        for module in (gpdiag.gp, gpdiag.sweep, gpdiag.recipes):
+            monkeypatch.setattr(module, "steady_state", recording(module.steady_state))
+        (tmp_path / "blocked").write_text("a file where the output directory should go")
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D)
+        argv = ["recipe", "fig3a"] if command == "recipe" else ["sweep", "--config", str(config)]
+        code = run_cli(argv + ["--out", str(tmp_path / out), "--samples", "3", "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert calls == []
+        assert err == f"gpdiag: i/o error: --out {tmp_path / out}: {tmp_path / 'blocked'} is not a writable directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "sweep.ini"]
 
     def test_no_value_exit_code(self, tmp_path, capsys):
         code = run_cli(["recipe", "fig3a", "--out", str(tmp_path), "--samples", "3",

@@ -16,9 +16,9 @@ from gpdiag.gp import (
     gp_curve_from_states,
     gp_derivative,
     mixed_state_gp,
-    pancharatnam_phase,
     sample_path,
     track_spectrum,
+    two_point_phases,
     unwrap_phases,
 )
 from gpdiag.linops import DegenerateSteadyStateError
@@ -166,22 +166,45 @@ class TestMixedStateGp:
             mixed_state_gp(track_spectrum(states))
 
 
+def mixed_with(psi, weight=0.7):
+    """3x3 state whose dominant eigenvector is the unit vector psi: weight on psi, the rest on a vector orthogonal to it."""
+    e = np.eye(3)[np.argmin(np.abs(psi))]
+    perp = e - np.vdot(psi, e) * psi
+    perp /= np.linalg.norm(perp)
+    return weight * np.outer(psi, psi.conj()) + (1.0 - weight) * np.outer(perp, perp.conj())
+
+
 class TestPancharatnam:
     def test_identical_states(self):
-        psi = np.array([0.6, 0.8j], dtype=complex)
-        assert pancharatnam_phase(psi, psi) == 0.0
+        rho = mixed_with(np.array([0.6, 0.8j, 0.0]))
+        assert np.array_equal(two_point_phases(rho, [rho, rho]), [0.0, 0.0])
 
-    def test_global_phase(self):
-        psi = np.array([1.0, 0.0], dtype=complex)
-        assert abs(pancharatnam_phase(psi, np.exp(1j * math.pi / 3) * psi) - math.pi / 3) <= 1e-12
+    @pytest.mark.parametrize("phi", [math.pi / 3, -2.0, 3.0])
+    def test_relative_phase(self, phi):
+        # psi1 carries e^{i phi} on its |01> amplitude, so <psi0|psi1> = c^2 + s^2 e^{i phi};
+        # the global phase on psi1 is gauged away
+        c, s = math.cos(0.4), math.sin(0.4)
+        psi0 = np.array([c, s, 0.0])
+        psi1 = np.exp(0.7j) * np.array([c, s * np.exp(1j * phi), 0.0])
+        [phase] = two_point_phases(mixed_with(psi0), [mixed_with(psi1, 0.9)])
+        assert abs(phase - math.atan2(s * s * math.sin(phi), c * c + s * s * math.cos(phi))) <= 1e-12
 
-    def test_orthogonal_undefined(self):
-        with pytest.raises(UndefinedPhaseError):
-            pancharatnam_phase(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    def test_orthogonal_member_undefined(self):
+        psi = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        orth = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        states = [mixed_with(psi), mixed_with(orth), mixed_with(psi)]
+        with pytest.raises(UndefinedPhaseError, match="psi_1"):
+            two_point_phases(mixed_with(psi), states)
 
-    def test_normalization_checked(self):
-        with pytest.raises(ValueError):
-            pancharatnam_phase(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+    def test_entry_independent_of_stack(self):
+        # the fig4 Bell-window construction on 31 points of delta1
+        ref, *states = sample_path(PathSpec(BELL, "delta1", 0.0, 3.0, 31))
+        full = two_point_phases(ref, states)
+        assert full.shape == (30,) and np.all(np.abs(full) > 0.0)
+        for j, rho in enumerate(states):
+            assert two_point_phases(ref, [rho])[0] == full[j]
+        for k in range(0, 30, 7):
+            np.testing.assert_array_equal(two_point_phases(ref, states[k:k + 7]), full[k:k + 7])
 
 
 class TestFixGlobalPhase:
@@ -195,6 +218,16 @@ class TestFixGlobalPhase:
         out = fix_global_phase(psi)
         assert out[pivot].imag == 0.0 and out[pivot].real > 0.0
         np.testing.assert_allclose(np.abs(out), np.abs(psi), atol=1e-15)
+
+    def test_stack_equals_per_vector_calls(self, rng):
+        psi = rng.normal(size=(4, 5, 3)) + 1j * rng.normal(size=(4, 5, 3))
+        psi[:, ::2, 0] = GAUGE_TOL * np.exp(1j * rng.uniform(0.0, 2 * math.pi, size=(4, 3)))
+        psi[1, 1, 0] = 0.0
+        stacked = fix_global_phase(psi)
+        for v, out in zip(psi.reshape(-1, 3), stacked.reshape(-1, 3)):
+            np.testing.assert_array_equal(out, fix_global_phase(v))
+            pivot = 0 if abs(v[0]) > GAUGE_TOL else int(np.argmax(np.abs(v)))
+            np.testing.assert_array_equal(out, v * (abs(v[pivot]) / v[pivot]))
 
 
 class TestGpCurve:
@@ -257,7 +290,7 @@ class TestGpCurve:
         result = mixed_state_gp(traj)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         psi1 = np.array([math.cos(1.0), math.sin(1.0)], dtype=complex)
-        assert abs(result.gamma_g - pancharatnam_phase(psi0, psi1)) <= 1e-10
+        assert abs(result.gamma_g - np.angle(np.vdot(psi0, psi1))) <= 1e-10
 
     def test_pure_state_transport_correction(self):
         # single kept branch: gamma_g = endpoint Pancharatnam phase minus the

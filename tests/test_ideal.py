@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gpdiag.ideal
 from gpdiag.cascade import SystemParams, steady_state
 from gpdiag.gp import fix_global_phase
 from gpdiag.ideal import (
@@ -15,6 +16,7 @@ from gpdiag.ideal import (
 )
 from gpdiag.linops import hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence
+from gpdiag.recipes import run_recipe
 
 
 def scheme_ii_at(x, delta_bar, omega=6.0):
@@ -117,6 +119,34 @@ class TestBetaCoefficient:
         for x, g in grid:
             assert math.isfinite(beta_coefficient(x, g))
             assert math.isfinite(beta_coefficient_rederived(x, g))
+
+    def test_fig4_span_ratio_evidence(self, tmp_path, monkeypatch):
+        # evidence for choosing the beta of taylor_gp: the separable/Bell span
+        # ratio of fig4 (criterion 07 needs >= 3) at 41 samples and default rates
+        def span_ratios(out):
+            ratios = {}
+            for variant in ("ideal", "scheme2", "scheme1"):
+                spans = []
+                for window in ("separable", "bell"):
+                    csv = (out / f"fig4_{window}_{variant}.csv").read_text().splitlines()[1:]
+                    values = [float(field) for field in (line.split(",")[2] for line in csv) if field]
+                    spans.append(max(values) - min(values))
+                ratios[variant] = spans[0] / spans[1]
+            return ratios
+
+        run_recipe("fig4", tmp_path / "transcribed", samples=41, jobs=1)
+        monkeypatch.setattr(gpdiag.ideal, "beta_coefficient", beta_coefficient_rederived)
+        run_recipe("fig4", tmp_path / "rederived", samples=41, jobs=1)
+        transcribed, rederived = span_ratios(tmp_path / "transcribed"), span_ratios(tmp_path / "rederived")
+        print(f"\nfig4 span ratio: ideal {transcribed['ideal']:.3f} (transcribed beta) / {rederived['ideal']:.3f} "
+              f"(rederived beta), scheme II {transcribed['scheme2']:.3f}, scheme I {transcribed['scheme1']:.3f}")
+        assert abs(transcribed["ideal"] - 3.214) <= 0.01
+        assert abs(rederived["ideal"] - 1.041) <= 0.01
+        assert abs(transcribed["scheme2"] - 1.554) <= 0.01
+        assert abs(transcribed["scheme1"] - 1.156) <= 0.01
+        for name in ("separable_scheme2", "separable_scheme1", "bell_scheme2", "bell_scheme1"):
+            numeric = [tmp_path / beta / f"fig4_{name}.csv" for beta in ("transcribed", "rederived")]
+            assert numeric[0].read_bytes() == numeric[1].read_bytes()
 
 
 class TestTaylorGp:
