@@ -11,6 +11,7 @@ a given sample count, independent of the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
+from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams
 from gpdiag.gp import AxisSpec, UndefinedPhaseError, gp_derivative, two_point_phases, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import NoSteadyStateError
-from gpdiag.photons import atomic_to_photon
-from gpdiag.sweep import map_columns, path_columns, write_tables
+from gpdiag.sweep import map_columns, path_columns, photon_states, write_tables
 
 # fewest samples per axis of each recipe; fig4 and fig5 differentiate along it,
 # which takes 3 points; at 2 samples the transport correction cancels the only
@@ -120,14 +120,15 @@ def _fig4_numeric_column(x0, dx, omega2, gamma2, gamma3, deltas):
         return gaps
     o1 = math.tan(x) * omega2
     w = math.hypot(o1, omega2)
-    try:
-        # the window base state first, then the column's points
-        states = [atomic_to_photon(steady_state(SystemParams(o, omega2, d, 0.0, gamma2, gamma3)))
-                  for o, d in [(math.tan(x0) * omega2, 0.0), *((o1, d * w) for d in deltas)]]
-        gammas = two_point_phases(states[0], states[1:])
-    except (NoSteadyStateError, UndefinedPhaseError):
+    # the window base state first, so a column without one solves no other point
+    base, solved = photon_states([SystemParams(math.tan(x0) * omega2, omega2, 0.0, 0.0, gamma2, gamma3)])
+    if not solved:
         return gaps
-    return _fig4_slopes(gammas, deltas)
+    states, defined = photon_states([SystemParams(o1, omega2, d * w, 0.0, gamma2, gamma3) for d in deltas])
+    if len(defined) == len(deltas):
+        with contextlib.suppress(UndefinedPhaseError):
+            return _fig4_slopes(two_point_phases(base[0], states), deltas)
+    return gaps
 
 
 def _run_fig4(recipe_id, t, samples, jobs, gamma2, gamma3):

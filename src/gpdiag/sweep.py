@@ -40,7 +40,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    scheme: str
     base: SystemParams
     axis1: AxisSpec
     axis2: AxisSpec | None
@@ -48,8 +47,6 @@ class SweepSpec:
     path: str
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not self.outputs:
             raise ConfigError("at least one output is required")
         for i, out in enumerate(self.outputs):
@@ -111,6 +108,8 @@ def parse_config(text: str) -> SweepSpec:
             raise ConfigError(f"missing [{section}] section")
     sweep = parser["sweep"]
     scheme = sweep.get("scheme", "I")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}")
     overrides = {key: _get_float(sweep, key, "[sweep]") for key in _PARAM_KEYS if key in sweep}
     # the defaults of a scheme: omega1 = omega2 = 6 on resonance, with its decay rates
     default_gamma3 = DEFAULT_GAMMA3_IDEAL if scheme == "II" else DEFAULT_GAMMA3_REAL
@@ -137,7 +136,7 @@ def parse_config(text: str) -> SweepSpec:
 
     axis1 = axis_from("axis1")
     axis2 = axis_from("axis2") if "axis2" in parser else None
-    return SweepSpec(scheme, base, axis1, axis2, outputs, sweep.get("path", "sweep.csv"))
+    return SweepSpec(base, axis1, axis2, outputs, sweep.get("path", "sweep.csv"))
 
 
 def format_field(value: float) -> str:
@@ -165,27 +164,33 @@ def map_columns(fn, payloads, jobs):
     return [fn(*p) for p in payloads]
 
 
+def photon_states(params):
+    """(states, defined): the two-photon steady states of `params`, solved point by point, as a stack, and
+    the indices of the points that have a unique positive semidefinite one; every other point is a gap."""
+    states, defined = [], []
+    for i, p in enumerate(params):
+        try:
+            states.append(atomic_to_photon(steady_state(p)))
+        except NoSteadyStateError:
+            continue
+        defined.append(i)
+    return np.array(states), defined
+
+
 def _column_outputs(spec: PathSpec, outputs) -> np.ndarray:
     """Evaluate `outputs` at every sample of the path `spec`.
 
     Returns a (samples, fields) float array in the column order of `outputs`,
-    NaN where a point is undefined.  The steady states are solved point by
-    point; then eigenvalues, purity and concurrence are one call each over the
-    stack of defined states, gamma_g runs along the defined samples, and
-    dgamma is filled only when no gamma_g gap remains.
+    NaN where a point is undefined.  The steady states come from
+    photon_states; then eigenvalues, purity and concurrence are one call each
+    over the stack of defined states, gamma_g runs along the defined samples,
+    and dgamma is all NaN while any gamma_g gap remains.
     """
     values = spec.values()
-    states, defined = [], []
-    for i, v in enumerate(values):
-        try:
-            states.append(atomic_to_photon(steady_state(spec.params_at(v))))
-        except NoSteadyStateError:
-            continue
-        defined.append(i)
+    states, defined = photon_states([spec.params_at(v) for v in values])
     table = np.full((len(values), sum(len(_FIELDS[out]) for out in outputs)), np.nan)
-    if not states:
+    if not defined:
         return table
-    states = np.array(states)
     gammas = np.full(len(values), np.nan)
     if ("gamma_g" in outputs or "dgamma" in outputs) and len(states) >= 2:
         try:
@@ -202,7 +207,7 @@ def _column_outputs(spec: PathSpec, outputs) -> np.ndarray:
             table[defined, col] = concurrence(states)
         elif out == "gamma_g":
             table[:, col] = gammas
-        elif out == "dgamma" and not np.isnan(gammas).any():
+        elif out == "dgamma":
             table[:, col] = gp_derivative(gammas, values[1] - values[0])
         col += len(_FIELDS[out])
     return table

@@ -317,7 +317,9 @@ class TestRecipeCommand:
         def recording(real):
             return lambda p: calls.append(p) or real(p)
 
-        for module in (gpdiag.gp, gpdiag.sweep, gpdiag.recipes):
+        # recipes solves its states through sweep.photon_states, so it holds no binding of its own
+        assert not hasattr(gpdiag.recipes, "steady_state")
+        for module in (gpdiag.gp, gpdiag.sweep):
             monkeypatch.setattr(module, "steady_state", recording(module.steady_state))
         (tmp_path / "blocked").write_text("a file where the output directory should go")
         config = tmp_path / "sweep.ini"
@@ -343,6 +345,16 @@ class TestRecipeCommand:
                         "--jobs", "1", "--gamma2", "0"])
         assert code == 0
         assert capsys.readouterr().err == "undefined points: 195\n"
+
+    @pytest.mark.parametrize("gamma2", ["1e155", "1e308"])
+    def test_fig4_overflowing_closed_form_is_numerical_failure(self, gamma2, tmp_path, capsys):
+        # the closed form's gamma21^2 overflows to NaN phases and the numeric
+        # steady states overflow, so every surface is a gap
+        code = run_cli(["recipe", "fig4", "--out", str(tmp_path / "out"), "--samples", "3",
+                        "--jobs", "1", "--gamma2", gamma2])
+        assert code == 2
+        assert capsys.readouterr().err == "gpdiag: numerical failure: no sample point of the recipe produced a value\n"
+        assert not (tmp_path / "out").exists()
 
     def test_small_recipe_run(self, tmp_path, capsys):
         code = run_cli(["recipe", "fig2", "--out", str(tmp_path), "--samples", "5",

@@ -328,8 +328,8 @@ class TestGpDerivative:
         deriv = gp_derivative(list(3.0 * s * s), s[1] - s[0])
         np.testing.assert_allclose(deriv, 6.0 * s, atol=1e-10)
 
-    def test_rejects_gaps_and_short_input(self):
-        with pytest.raises(ValueError):
-            gp_derivative([0.0, None, 0.2], 0.1)
+    def test_gaps_give_all_nan_and_short_input_raises(self):
+        assert np.isnan(gp_derivative([0.0, None, 0.2, 0.3], 0.1)).all()
+        assert np.isnan(gp_derivative([0.0, 0.1, np.nan], 0.1)).all()
         with pytest.raises(ValueError):
             gp_derivative([0.0, 0.1], 0.1)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import gpdiag.sweep
-from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams
+from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
 from gpdiag.gp import PathSpec, gp_curve_from_states, gp_derivative, sample_path
 from gpdiag.linops import NoSteadyStateError
+from gpdiag.photons import atomic_to_photon
 from gpdiag.sweep import (
-    AxisSpec, ConfigError, SweepSpec, format_field, map_columns, parse_config, run_sweep,
+    AxisSpec, ConfigError, SweepSpec, format_field, map_columns, parse_config, photon_states, run_sweep,
 )
 
 MINIMAL = """\
@@ -100,7 +101,7 @@ class TestParseConfig:
     def test_duplicate_axis_parameter(self):
         with pytest.raises(ConfigError):
             spec_2d().__class__(  # rebuild with both axes on delta1
-                "I", spec_2d().base,
+                spec_2d().base,
                 AxisSpec("delta1", -1, 1, 3), AxisSpec("delta1", 2, 6, 2),
                 ("purity",), "x.csv",
             )
@@ -219,6 +220,22 @@ samples = 61
         gammas = gp_curve_from_states(sample_path(spec))
         expected = np.column_stack([gammas, gp_derivative(gammas, values[1] - values[0])])
         assert np.array_equal(gpdiag.sweep._column_outputs(spec, ("gamma_g", "dgamma")), expected)
+
+    def test_photon_states_keeps_the_solvable_points(self):
+        solvable = [SystemParams(6.0, 6.0), SystemParams(3.0, 6.0, 1.0, -0.5), SystemParams(6.0, 3.0, gamma3=0.0)]
+        degenerate = SystemParams(0.0, 0.0, gamma3=0.0)
+        non_psd = SystemParams(1e7, 1e7, gamma3=0.0)
+        for bad in (degenerate, non_psd):
+            with pytest.raises(NoSteadyStateError):
+                steady_state(bad)
+        params = [degenerate, solvable[0], non_psd, solvable[1], degenerate, solvable[2], non_psd]
+        states, defined = photon_states(params)
+        assert defined == [1, 3, 5]
+        assert states.shape == (3, 3, 3)
+        for state, p in zip(states, solvable):
+            assert np.array_equal(state, atomic_to_photon(steady_state(p)))
+        states, defined = photon_states([degenerate, non_psd])
+        assert defined == [] and len(states) == 0
 
     def test_formatting(self):
         assert format_field(np.nan) == ""
