@@ -8,7 +8,7 @@ The ground state is stable (no decay out of |1>).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,33 +55,6 @@ class SystemParams:
             raise ValueError("Rabi frequencies must be >= 0")
         if self.gamma2 < 0 or self.gamma3 < 0:
             raise ValueError("decay rates must be >= 0")
-
-    def with_value(self, name: str, value: float) -> "SystemParams":
-        return replace(self, **{name: value})
-
-    @property
-    def two_photon_detuning(self) -> float:
-        return self.delta1 + self.delta2
-
-    @property
-    def total_rabi(self) -> float:
-        """sqrt(omega1^2 + omega2^2)."""
-        return math.hypot(self.omega1, self.omega2)
-
-    @property
-    def mixing_angle(self) -> float:
-        """X = arctan(omega1 / omega2), in [0, pi/2]."""
-        return math.atan2(self.omega1, self.omega2)
-
-    @property
-    def delta_bar(self) -> float:
-        """Two-photon detuning scaled by the total Rabi frequency."""
-        return self.two_photon_detuning / self.total_rabi
-
-    @property
-    def gamma21(self) -> float:
-        """gamma2 / (2 sqrt(omega1^2 + omega2^2))."""
-        return self.gamma2 / (2.0 * self.total_rabi)
 
 
 def build_hamiltonian(p: SystemParams) -> np.ndarray:

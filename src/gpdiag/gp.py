@@ -14,7 +14,7 @@ visibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class PathSpec:
         return np.linspace(self.start, self.stop, self.samples)
 
     def params_at(self, value: float) -> SystemParams:
-        return self.base.with_value(self.varying, value)
+        return replace(self.base, **{self.varying: value})
 
 
 @dataclass(frozen=True)

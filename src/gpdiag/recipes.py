@@ -113,21 +113,16 @@ def _fig4_ideal_column(x0, dx, omega2, gamma2, deltas):
     return _fig4_slopes([taylor_gp(x0, d, dx, g21) for d in deltas], deltas)
 
 
-def _fig4_numeric_column(x0, dx, omega2, gamma2, gamma3, deltas):
-    x = x0 + dx
+def _fig4_numeric_column(reference, x, omega2, gamma2, gamma3, deltas):
     gaps = np.full((len(deltas), 1), np.nan)
-    if x < 0.0 or x >= math.pi / 2.0 - 1e-12:
+    if reference is None or x < 0.0 or x >= math.pi / 2.0 - 1e-12:
         return gaps
     o1 = math.tan(x) * omega2
     w = math.hypot(o1, omega2)
-    # the window base state first, so a column without one solves no other point
-    base, solved = photon_states([SystemParams(math.tan(x0) * omega2, omega2, 0.0, 0.0, gamma2, gamma3)])
-    if not solved:
-        return gaps
     states, defined = photon_states([SystemParams(o1, omega2, d * w, 0.0, gamma2, gamma3) for d in deltas])
     if len(defined) == len(deltas):
         with contextlib.suppress(UndefinedPhaseError):
-            return _fig4_slopes(two_point_phases(base[0], states), deltas)
+            return _fig4_slopes(two_point_phases(reference, states), deltas)
     return gaps
 
 
@@ -137,9 +132,13 @@ def _run_fig4(recipe_id, t, samples, jobs, gamma2, gamma3):
     o2 = t["omega2"]
     windows = t["windows"].items()
     variants = (("scheme2", DEFAULT_GAMMA3_IDEAL), ("scheme1", gamma3))
+    # each window's base state, once per variant; a column whose reference has none is all gaps
+    bases = [(x0, g3) for _, x0 in windows for _, g3 in variants]
+    states, defined = photon_states([SystemParams(math.tan(x0) * o2, o2, 0.0, 0.0, gamma2, g3) for x0, g3 in bases])
+    references = dict(zip(defined, states))
     # one pool for every numeric column; the closed-form columns are cheap and run in process
-    numeric = iter(map_columns(_fig4_numeric_column, [(x0, dx, o2, gamma2, g3, deltas)
-                                                     for _, x0 in windows for _, g3 in variants for dx in dxs], jobs))
+    numeric = iter(map_columns(_fig4_numeric_column, [(references.get(i), x0 + dx, o2, gamma2, g3, deltas)
+                                                     for i, (x0, g3) in enumerate(bases) for dx in dxs], jobs))
     tables = []
     for window, x0 in windows:
         surfaces = {"ideal": [_fig4_ideal_column(x0, dx, o2, gamma2, deltas) for dx in dxs]}

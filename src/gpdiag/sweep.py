@@ -257,7 +257,7 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1):
     """
     axis1, axis2 = spec.axis1, spec.axis2
     axis2_values = [None] if axis2 is None else list(axis2.values())
-    bases = [spec.base if v is None else spec.base.with_value(axis2.parameter, v) for v in axis2_values]
+    bases = [spec.base if v is None else replace(spec.base, **{axis2.parameter: v}) for v in axis2_values]
     axis1_values, columns = path_columns(bases, axis1, spec.outputs, jobs)
     header = [axis.parameter for axis in (axis1, axis2) if axis is not None] + [
         field for out in spec.outputs for field in _FIELDS[out]]

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import gpdiag.sweep
+from gpdiag.cascade import steady_state
 from gpdiag.linops import NoSteadyStateError
 from gpdiag.recipes import RECIPE_IDS, run_recipe
 
@@ -139,6 +141,19 @@ class TestFig4(object):
         run_recipe("fig4", tmp_path, samples=3, jobs=2)
         # 2 windows x 2 numeric variants x 13 dX columns
         assert pool_calls == [(2, "_fig4_numeric_column", 52)]
+
+    def test_each_reference_state_solved_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_steady_state(p):
+            calls.append(p)
+            return steady_state(p)
+
+        monkeypatch.setattr(gpdiag.sweep, "steady_state", counting_steady_state)
+        run_recipe("fig4", tmp_path, samples=21, jobs=1)
+        # 40 in-range columns (dX < 0 leaves [0, pi/2) at X0 = 0) x 21 points, plus the
+        # 2 windows x 2 variants reference states
+        assert len(calls) == 40 * 21 + 4
 
 
 @pytest.fixture(scope="module")
