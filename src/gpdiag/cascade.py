@@ -1,4 +1,4 @@
-"""Driven three-level cascade: rotating-frame Hamiltonian, dissipators, steady state.
+"""Driven three-level cascade: rotating-frame Hamiltonian, master equation, steady state.
 
 Atomic basis ordering is (|1>, |2>, |3>) = (ground, intermediate, top), indices
 0, 1, 2.  All rates and frequencies are dimensionless, in units of gamma = 1 MHz.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpdiag.linops import NoSteadyStateError, null_space_unit_trace
+from gpdiag.linops import NoSteadyStateError, hermitian_basis, null_space_unit_trace
 
 DEFAULT_GAMMA2 = 6.0   # 5P_3/2 linewidth of 87Rb in MHz
 DEFAULT_GAMMA3_REAL = 1.0   # metastable top level ("scheme I")
@@ -21,16 +21,6 @@ DEFAULT_GAMMA3_IDEAL = 0.0  # infinitely long-lived top level ("scheme II")
 _I3 = np.eye(3, dtype=complex)
 _LOWER_21 = np.outer(_I3[0], _I3[1])   # |1><2|
 _LOWER_32 = np.outer(_I3[1], _I3[2])   # |2><3|
-
-
-def _dissipator(c: np.ndarray) -> np.ndarray:
-    """D[c] rho = c rho c^dag - (c^dag c rho + rho c^dag c) / 2 on the row-major vec."""
-    cdc = c.conj().T @ c
-    return np.kron(c, c.conj()) - 0.5 * np.kron(cdc, _I3) - 0.5 * np.kron(_I3, cdc.T)
-
-
-_D21 = _dissipator(_LOWER_21)
-_D32 = _dissipator(_LOWER_32)
 
 
 @dataclass(frozen=True)
@@ -75,7 +65,7 @@ def build_hamiltonian(p: SystemParams) -> np.ndarray:
 
 
 def lindblad_rhs(p: SystemParams, rho: np.ndarray) -> np.ndarray:
-    """rho_dot = -i[H, rho] + gamma2 D[|1><2|] rho + gamma3 D[|2><3|] rho.
+    """rho_dot = -i[H, rho] + gamma2 D[|1><2|] rho + gamma3 D[|2><3|] rho, for a state or an (..., 3, 3) stack.
 
     D[L] rho = L rho L^dag - (L^dag L rho + rho L^dag L) / 2.  Trace-preserving
     by construction.
@@ -91,18 +81,34 @@ def lindblad_rhs(p: SystemParams, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _generator_table() -> np.ndarray:
+    """(81, 6) real G with liouvillian(p) = (G @ theta).reshape(9, 9), theta = (omega1, omega2, delta1,
+    delta1 + delta2, gamma2, gamma3): lindblad_rhs is linear in theta, so column k is the generator at
+    theta = e_k, read off lindblad_rhs on the nine basis matrices of hermitian_basis(3)."""
+    t = hermitian_basis(3)
+    basis = t.T.reshape(9, 3, 3)
+    units = [SystemParams(w1, w2, d1, d12 - d1, g2, g3) for w1, w2, d1, d12, g2, g3 in np.eye(6).tolist()]
+    images = np.array([lindblad_rhs(u, basis).reshape(9, 9).T for u in units])  # column j: vec of L B_j
+    return (t.conj().T @ images).real.reshape(6, 81).T.copy()
+
+
+_GENERATORS = _generator_table()
+
+
 def liouvillian(p: SystemParams) -> np.ndarray:
-    """9x9 superoperator L with unvec(L vec(rho)) = lindblad_rhs(p, rho).  The commutator is one broadcast
-    product on axes (i, k, j, l) of entry [3i + k, 3j + l], bitwise equal to kron(H, I) - kron(I, H^T)."""
-    h = build_hamiltonian(p)
-    comm = h[:, None, :, None] * _I3[None, :, None, :] - _I3[:, None, :, None] * h.T[None, :, None, :]
-    return -1j * comm.reshape(9, 9) + p.gamma2 * _D21 + p.gamma3 * _D32
+    """Real 9x9 generator in the coordinates of linops.hermitian_basis(3).
+
+    With T that basis, T @ L @ T^dag is the superoperator of lindblad_rhs on
+    the row-major vec, and has the singular values of L.
+    """
+    theta = np.array([p.omega1, p.omega2, p.delta1, p.delta1 + p.delta2, p.gamma2, p.gamma3])
+    return (_GENERATORS @ theta).reshape(9, 9)
 
 
 def steady_state(p: SystemParams) -> np.ndarray:
     """Unique fixed point of the master equation, as a 3x3 atomic density matrix.
 
-    Solved exactly from the null space of the Liouvillian.  Raises
+    Solved exactly from the null space of the real Liouvillian.  Raises
     NoSteadyStateError from linops when the null space is not one-dimensional
     (DegenerateSteadyStateError, its subclass, when it is larger), and
     NoSteadyStateError when the null vector is not positive semidefinite.
@@ -112,4 +118,3 @@ def steady_state(p: SystemParams) -> np.ndarray:
     if low < -1e-10:
         raise NoSteadyStateError(f"steady state not positive semidefinite (min eigenvalue {low:.3e})")
     return rho
-

@@ -1,12 +1,19 @@
-"""Dense complex linear algebra shared by the cascade simulator.
+"""Dense linear algebra shared by the cascade simulator.
 
 Everything here acts on small matrices (3x3 states, 9x9 superoperators), so
 plain LAPACK through numpy is both the simplest and the most robust choice.
 Vectorization is row-major throughout: vec(rho)[n*i + j] = rho[i, j].
+
+A superoperator that maps Hermitian matrices to Hermitian matrices (a
+Lindblad generator does) is a real matrix in the orthonormal Hermitian basis
+of `hermitian_basis`.  That basis change is unitary, so the real matrix has
+the singular values of the complex one, and `null_space_unit_trace` solves
+the real form with one real SVD.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -39,15 +46,6 @@ class EigenSystem(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _as_square_complex(a, stack=False) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
-        raise ContractViolationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ContractViolationError("matrix has non-finite entries")
-    return a
-
-
 def hermitian_eig(a) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix or of an (..., n, n) stack of them.
 
@@ -56,7 +54,11 @@ def hermitian_eig(a) -> EigenSystem:
     zheevd order: ascending eigenvalues, orthonormal columns), and each
     member of a stack decomposes exactly as it does alone.
     """
-    a = _as_square_complex(a, stack=True)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ContractViolationError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ContractViolationError("matrix has non-finite entries")
     a_dag = a.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(a - a_dag))
     if dev > HERMITICITY_TOL:
@@ -65,20 +67,49 @@ def hermitian_eig(a) -> EigenSystem:
     return EigenSystem(w, v)
 
 
-def null_space_unit_trace(ell) -> np.ndarray:
-    """Unique null vector of a superoperator, returned as a unit-trace Hermitian matrix.
+@functools.lru_cache(maxsize=None)
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Unitary map T from real coordinates x to the row-major vec of a dim x dim Hermitian matrix.
 
-    `ell` acts on the row-major vectorization of a dim x dim matrix.  Singular
-    values below RANK_EPS times the largest one count as zero.  Exactly one
-    zero singular value is required; 0, or an overflowed decomposition, raises
-    NoSteadyStateError and >= 2 raises DegenerateSteadyStateError.
+    Column k of T is vec(B_k) for the orthonormal basis E_ii (i = 0 .. dim-1),
+    then (E_ij + E_ji)/sqrt(2) and i(E_ij - E_ji)/sqrt(2) for each i < j; so
+    x[:dim] is the diagonal and its sum the trace.  A superoperator L that
+    keeps Hermiticity is the real matrix T^dag L T in these coordinates.
+    Cached per dim and read-only.
     """
-    ell = _as_square_complex(ell)
+    t = np.zeros((dim * dim, dim * dim), dtype=complex)
+    t[np.arange(dim) * (dim + 1), np.arange(dim)] = 1.0
+    k, r = dim, math.sqrt(0.5)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            t[i * dim + j, k], t[j * dim + i, k] = r, r
+            t[i * dim + j, k + 1], t[j * dim + i, k + 1] = 1j * r, -1j * r
+            k += 2
+    t.flags.writeable = False
+    return t
+
+
+def null_space_unit_trace(ell) -> np.ndarray:
+    """Unique null vector of a real superoperator, returned as a unit-trace Hermitian matrix.
+
+    `ell` acts on the coordinates of `hermitian_basis(dim)` of a dim x dim
+    Hermitian matrix.  Singular values below RANK_EPS times the largest one
+    count as zero.  Exactly one zero singular value is required; 0, or an
+    overflowed decomposition, raises NoSteadyStateError and >= 2 raises
+    DegenerateSteadyStateError.
+    """
+    ell = np.asarray(ell)
+    if ell.ndim != 2 or ell.shape[0] != ell.shape[1]:
+        raise ContractViolationError(f"expected a square matrix, got shape {ell.shape}")
+    if np.iscomplexobj(ell):
+        raise ContractViolationError(f"expected a real matrix, got dtype {ell.dtype}")
+    if not np.isfinite(ell).all():
+        raise ContractViolationError("matrix has non-finite entries")
     dim = math.isqrt(ell.shape[0])
     if dim * dim != ell.shape[0]:
         raise ContractViolationError(f"superoperator size {ell.shape[0]} is not a perfect square")
     _, s, vh = np.linalg.svd(ell)
-    if not np.isfinite(s[0]):
+    if not math.isfinite(s[0]):
         raise NoSteadyStateError(f"singular value decomposition overflowed: largest singular value {s[0]}")
     deficiency = int(np.count_nonzero(s <= RANK_EPS * s[0]))
     if deficiency == 0:
@@ -86,9 +117,9 @@ def null_space_unit_trace(ell) -> np.ndarray:
     if deficiency >= 2:
         raise DegenerateSteadyStateError(deficiency, f"null space has dimension {deficiency} (singular "
                                          f"values <= {RANK_EPS:g} x largest {s[0]:.3e})")
-    m = vh[-1].conj().reshape(dim, dim)
-    tr = m.trace()
+    x = vh[-1]
+    tr = x[:dim].sum()
     if abs(tr) < 1e-6:
         raise NoSteadyStateError(f"null vector is traceless (|tr| = {abs(tr):.3e})")
-    m = m / tr
-    return 0.5 * (m + m.conj().T)
+    # a real combination of the Hermitian basis is Hermitian exactly: entries (i, j) and (j, i) are conjugates
+    return (hermitian_basis(dim) @ (x / tr)).reshape(dim, dim)

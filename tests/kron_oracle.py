@@ -1,0 +1,75 @@
+"""The generator in its complex kron form and the complex-SVD null-space solve: the tests' oracle of the kernel.
+
+`cascade.liouvillian` is a real 9x9 matrix in the coordinates of
+`linops.hermitian_basis(3)`, read off `lindblad_rhs`.  This module assembles
+the same generator independently, as kron products acting on the row-major
+vec (vec(rho)[3*i + j] = rho[i, j]), and solves its null space with one
+complex SVD under the same rank, trace and positivity tests as the pipeline.
+"""
+
+import math
+
+import numpy as np
+
+from gpdiag.cascade import SystemParams, build_hamiltonian
+from gpdiag.linops import RANK_EPS, DegenerateSteadyStateError, NoSteadyStateError, hermitian_basis
+
+_I3 = np.eye(3, dtype=complex)
+
+
+def vec(m: np.ndarray) -> np.ndarray:
+    """Row-major vectorization of a square matrix."""
+    return np.asarray(m, dtype=complex).reshape(-1)
+
+
+def unvec(v: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of vec."""
+    return np.asarray(v, dtype=complex).reshape(dim, dim)
+
+
+def coordinates(m: np.ndarray) -> np.ndarray:
+    """Real coordinates of a Hermitian matrix in linops.hermitian_basis, on which liouvillian() acts."""
+    return (hermitian_basis(len(m)).conj().T @ vec(m)).real
+
+
+def lift(ell: np.ndarray) -> np.ndarray:
+    """T @ L @ T^dag: a real superoperator in hermitian_basis coordinates, as a matrix on the row-major vec."""
+    t = hermitian_basis(math.isqrt(len(ell)))
+    return t @ ell @ t.conj().T
+
+
+def _dissipator(c):
+    cdc = c.conj().T @ c
+    return np.kron(c, c.conj()) - 0.5 * np.kron(cdc, _I3) - 0.5 * np.kron(_I3, cdc.T)
+
+
+_D21 = _dissipator(np.outer(_I3[0], _I3[1]))
+_D32 = _dissipator(np.outer(_I3[1], _I3[2]))
+
+
+def kron_liouvillian(p: SystemParams) -> np.ndarray:
+    """Complex 9x9 generator on the row-major vec: -i(kron(H, I) - kron(I, H^T)) + gamma2 D21 + gamma3 D32."""
+    h = build_hamiltonian(p)
+    return -1j * (np.kron(h, _I3) - np.kron(_I3, h.T)) + p.gamma2 * _D21 + p.gamma3 * _D32
+
+
+def kron_steady_state(p: SystemParams) -> np.ndarray:
+    """The steady state from one complex SVD of kron_liouvillian(p), raising as cascade.steady_state does."""
+    _, s, vh = np.linalg.svd(kron_liouvillian(p))
+    if not np.isfinite(s[0]):
+        raise NoSteadyStateError(f"singular value decomposition overflowed: largest singular value {s[0]}")
+    deficiency = int(np.count_nonzero(s <= RANK_EPS * s[0]))
+    if deficiency == 0:
+        raise NoSteadyStateError(f"no null vector: smallest singular value {s[-1]:.3e}")
+    if deficiency >= 2:
+        raise DegenerateSteadyStateError(deficiency)
+    m = unvec(vh[-1].conj(), 3)
+    tr = m.trace()
+    if abs(tr) < 1e-6:
+        raise NoSteadyStateError(f"null vector is traceless (|tr| = {abs(tr):.3e})")
+    m = m / tr
+    rho = 0.5 * (m + m.conj().T)
+    low = float(np.linalg.eigvalsh(rho).min())
+    if low < -1e-10:
+        raise NoSteadyStateError(f"steady state not positive semidefinite (min eigenvalue {low:.3e})")
+    return rho

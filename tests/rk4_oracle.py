@@ -2,25 +2,17 @@
 
 `cascade.steady_state` solves for the fixed point exactly, from the null space
 of the Liouvillian.  This module integrates the same generator in time, so
-tests can check that solve against a long-time evolution.  Vectorization is
-row-major, as in `cascade.liouvillian`: vec(rho)[3*i + j] = rho[i, j].
+tests can check that solve against a long-time evolution.  It steps the
+kron form of `kron_oracle`, an assembly of the generator that the pipeline
+does not share.
 """
 
 import math
 
 import numpy as np
 
-from gpdiag.cascade import SystemParams, liouvillian
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Row-major vectorization of a square matrix."""
-    return np.asarray(m, dtype=complex).reshape(-1)
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of vec."""
-    return np.asarray(v, dtype=complex).reshape(dim, dim)
+from gpdiag.cascade import SystemParams
+from kron_oracle import kron_liouvillian, unvec, vec
 
 
 def _max_stable_dt(p: SystemParams) -> float:
@@ -31,7 +23,7 @@ def _max_stable_dt(p: SystemParams) -> float:
 def _rk4_step_matrix(p: SystemParams, dt: float) -> np.ndarray:
     # The generator is linear in rho, so one classical RK4 step is the fixed
     # linear map I + A + A^2/2 + A^3/6 + A^4/24 with A = dt L, in Horner form.
-    a = dt * liouvillian(p)
+    a = dt * kron_liouvillian(p)
     step = np.eye(9, dtype=complex)
     for k in (4, 3, 2, 1):
         step = np.eye(9) + a @ step / k
@@ -40,7 +32,7 @@ def _rk4_step_matrix(p: SystemParams, dt: float) -> np.ndarray:
 
 def evolve(p: SystemParams, rho0: np.ndarray, t_final: float, dt: float,
            renormalize: bool = True) -> np.ndarray:
-    """Classical fixed-step RK4 integration of liouvillian(p) from rho0 to t_final.
+    """Classical fixed-step RK4 integration of kron_liouvillian(p) from rho0 to t_final.
 
     An independent check on the null-space (SVD) steady state.  The step
     must satisfy dt <= 0.01 / max(1, omega1, omega2, |delta1|+|delta2|,

@@ -10,8 +10,9 @@ import ideal_oracle as oracle
 from conftest import random_density, random_params
 from gpdiag.cascade import (DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams,
                             build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
-from gpdiag.linops import DegenerateSteadyStateError, hermitian_eig, null_space_unit_trace
-from rk4_oracle import _max_stable_dt, _rk4_step_matrix, evolve, unvec, vec
+from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
+from kron_oracle import coordinates, kron_liouvillian, kron_steady_state, lift, unvec, vec
+from rk4_oracle import _max_stable_dt, _rk4_step_matrix, evolve
 
 
 def ket(i):
@@ -95,7 +96,7 @@ class TestLiouvillian:
             p = random_params(rng, scheme="I" if rng.uniform() < 0.5 else "II")
             rho = random_density(rng, 3)
             direct = lindblad_rhs(p, rho)
-            via_super = (liouvillian(p) @ vec(rho)).reshape(3, 3)
+            via_super = (lift(liouvillian(p)) @ vec(rho)).reshape(3, 3)
             assert np.max(np.abs(direct - via_super)) <= 1e-12
 
     def test_zero_params_zero_matrix(self):
@@ -105,7 +106,7 @@ class TestLiouvillian:
     def test_trace_preservation_row(self, rng):
         p = random_params(rng)
         ell = liouvillian(p)
-        row = vec(np.eye(3)).conj() @ ell
+        row = coordinates(np.eye(3)) @ ell
         assert np.max(np.abs(row)) <= 1e-12
 
 
@@ -122,36 +123,18 @@ _box_params = st.builds(SystemParams, omega1=_edge_or(0.0, 6.0), omega2=_edge_or
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(p=_box_params, seed=st.integers(0, 2**32 - 1), dt_fraction=st.floats(0.01, 1.0))
 def test_generator_on_parameter_box(p, seed, dt_fraction):
-    """liouvillian() against the matrix-form oracle, and the RK4 step built from it,
+    """liouvillian() against the matrix-form oracle, and the RK4 step of the kron form against it,
     over the box including undriven points and vanishing decay rates."""
-    ell = liouvillian(p)
+    ell = lift(liouvillian(p))
     rho = random_density(np.random.default_rng(seed), 3)
     scale = max(1.0, p.omega1, p.omega2, abs(p.delta1), abs(p.delta2), p.gamma2, p.gamma3)
     assert np.max(np.abs(unvec(ell @ vec(rho), 3) - lindblad_rhs(p, rho))) <= 1e-12 * scale
-    assert np.max(np.abs(vec(np.eye(3)).conj() @ ell)) <= 1e-12 * scale
+    assert np.max(np.abs(coordinates(np.eye(3)) @ liouvillian(p))) <= 1e-12 * scale
 
     dt = dt_fraction * _max_stable_dt(p)
     a = dt * ell
     taylor = np.eye(9) + a + a @ a / 2 + a @ a @ a / 6 + a @ a @ a @ a / 24
     assert np.max(np.abs(_rk4_step_matrix(p, dt) - taylor)) <= 1e-12
-
-
-_I3 = np.eye(3, dtype=complex)
-
-
-def _kron_dissipator(c):
-    cdc = c.conj().T @ c
-    return np.kron(c, c.conj()) - 0.5 * np.kron(cdc, _I3) - 0.5 * np.kron(_I3, cdc.T)
-
-
-_D21 = _kron_dissipator(np.outer(_I3[0], _I3[1]))
-_D32 = _kron_dissipator(np.outer(_I3[1], _I3[2]))
-
-
-def kron_liouvillian(p):
-    """The generator in its two-kron form: the bitwise oracle of liouvillian()'s broadcast assembly."""
-    h = build_hamiltonian(p)
-    return -1j * (np.kron(h, _I3) - np.kron(_I3, h.T)) + p.gamma2 * _D21 + p.gamma3 * _D32
 
 
 _EDGE_POINTS = [
@@ -169,15 +152,25 @@ _EDGE_POINTS = [
 ]
 
 
+def _check_against_kron_form(p):
+    """T L T^dag is the kron form, and the real generator has its singular values (inf where both overflow)."""
+    ell, kron = liouvillian(p), kron_liouvillian(p)
+    scale = max(1.0, p.omega1, p.omega2, abs(p.delta1), abs(p.delta2), p.gamma2, p.gamma3)
+    assert ell.dtype == np.float64
+    assert np.max(np.abs(lift(ell) - kron)) <= 4e-15 * scale
+    np.testing.assert_allclose(np.linalg.svd(ell, compute_uv=False), np.linalg.svd(kron, compute_uv=False),
+                               rtol=0.0, atol=2e-14 * scale)
+
+
 @pytest.mark.parametrize("p", _EDGE_POINTS, ids=repr)
-def test_liouvillian_bitwise_kron_form_at_edges(p):
-    assert liouvillian(p).tobytes() == kron_liouvillian(p).tobytes()
+def test_liouvillian_is_the_kron_form_at_edges(p):
+    _check_against_kron_form(p)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(p=_box_params)
-def test_liouvillian_bitwise_kron_form_on_parameter_box(p):
-    assert liouvillian(p).tobytes() == kron_liouvillian(p).tobytes()
+def test_liouvillian_is_the_kron_form_on_parameter_box(p):
+    _check_against_kron_form(p)
 
 
 def _steady_state_points():
@@ -190,13 +183,32 @@ def _steady_state_points():
     return points
 
 
-def test_steady_state_bitwise_kron_oracle_path():
+def test_steady_state_matches_kron_oracle():
     points = _steady_state_points()
     assert sum(oracle.two_photon_detuning(p) == 0.0 for p in points) == 26
     for p in points:
-        rho = null_space_unit_trace(kron_liouvillian(p))
-        assert float(np.linalg.eigvalsh(rho).min()) >= -1e-10
-        assert steady_state(p).tobytes() == rho.tobytes()
+        assert np.max(np.abs(steady_state(p) - kron_steady_state(p))) <= 1e-13
+
+
+def _outcome(solve, p):
+    try:
+        return solve(p)
+    except NoSteadyStateError as err:
+        return type(err)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(p=_box_params)
+def test_steady_state_matches_kron_oracle_on_parameter_box(p):
+    """Same exception class as the complex solve, else the same state within 64 eps s_0 / s_-2,
+    the first-order bound on the null vector's rounding (s_-2 is the gap to the next singular value)."""
+    got, expected = _outcome(steady_state, p), _outcome(kron_steady_state, p)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    assert not isinstance(got, type), f"{got.__name__} where the complex solve finds a steady state"
+    s = np.linalg.svd(kron_liouvillian(p), compute_uv=False)
+    assert np.max(np.abs(got - expected)) <= 64 * np.finfo(float).eps * s[0] / s[-2]
 
 
 class TestSteadyState:

@@ -52,8 +52,8 @@ class TestSteady:
         assert "overflowed" in err and "dimension" not in err
 
     def test_non_positive_null_vector_is_numerical_failure(self, capsys):
-        # at drives of 1e7 the scheme-II null vector has an eigenvalue below -1e-10
-        code = run_cli(["steady", "--omega1", "1e7", "--omega2", "1e7", "--scheme", "II"])
+        # at drives of 3e8 the scheme-II null vector has an eigenvalue below -1e-10 (about -7.5e-9)
+        code = run_cli(["steady", "--omega1", "3e8", "--omega2", "3e8", "--scheme", "II"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("gpdiag: numerical failure: steady state not positive semidefinite")
@@ -196,7 +196,7 @@ samples = 5
 
     def test_non_positive_null_vectors_are_gaps(self, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
-        config.write_text(SWEEP_1D.replace("scheme = I", "scheme = II\nomega1 = 1e7\nomega2 = 1e7")
+        config.write_text(SWEEP_1D.replace("scheme = I", "scheme = II\nomega1 = 4e7\nomega2 = 4e7")
                           .replace("purity, gamma_g", "purity").replace("samples = 9", "samples = 21"))
         code = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path), "--jobs", "1"])
         err = capsys.readouterr().err

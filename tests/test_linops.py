@@ -7,10 +7,11 @@ from gpdiag.linops import (
     ContractViolationError,
     DegenerateSteadyStateError,
     NoSteadyStateError,
+    hermitian_basis,
     hermitian_eig,
     null_space_unit_trace,
 )
-from rk4_oracle import unvec, vec
+from kron_oracle import coordinates, unvec, vec
 
 
 def test_identity_spectrum():
@@ -107,8 +108,9 @@ def test_overflowing_decomposition_is_no_steady_state():
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, np.nan),
                                  complex(0.0, -np.inf)], ids=["real nan", "real inf", "imag nan", "imag -inf"])
 def test_non_finite_real_or_imaginary_part_rejected(rng, bad):
+    # the generator is real, so it takes the non-finite part; a Hermitian stack takes the complex entry
     ell = liouvillian(SystemParams(6.0, 6.0))
-    ell[4, 2] = bad
+    ell[4, 2] = bad.real if bad.imag == 0.0 else bad.imag
     with pytest.raises(ContractViolationError, match="matrix has non-finite entries"):
         null_space_unit_trace(ell)
     stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
@@ -123,7 +125,7 @@ def test_null_residual_invariant(rng):
                          rng.uniform(-3, 3), rng.uniform(-3, 3), 6.0, 1.0)
         ell = liouvillian(p)
         m = null_space_unit_trace(ell)
-        residual = np.max(np.abs(ell @ vec(m)))
+        residual = np.max(np.abs(ell @ coordinates(m)))
         assert residual <= 1e-8 * np.max(np.abs(ell))
 
 
@@ -161,3 +163,19 @@ def test_null_space_rejects_stack():
     ell = liouvillian(SystemParams(6.0, 6.0))
     with pytest.raises(ContractViolationError, match="square matrix"):
         null_space_unit_trace(np.array([ell, ell]))
+
+
+def test_null_space_rejects_complex_superoperator():
+    with pytest.raises(ContractViolationError, match="expected a real matrix"):
+        null_space_unit_trace(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
+
+
+def test_hermitian_basis_is_unitary_with_the_diagonal_first(rng):
+    for dim in (2, 3, 4):
+        t = hermitian_basis(dim)
+        assert np.max(np.abs(t.conj().T @ t - np.eye(dim * dim))) <= 1e-15
+        x = coordinates(random_hermitian(rng, dim))
+        m = unvec(t @ x, dim)
+        assert np.array_equal(m, m.conj().T)
+        assert np.array_equal(np.diag(m).real, x[:dim])
+    assert not hermitian_basis(3).flags.writeable

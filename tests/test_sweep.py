@@ -224,7 +224,7 @@ samples = 61
     def test_photon_states_keeps_the_solvable_points(self):
         solvable = [SystemParams(6.0, 6.0), SystemParams(3.0, 6.0, 1.0, -0.5), SystemParams(6.0, 3.0, gamma3=0.0)]
         degenerate = SystemParams(0.0, 0.0, gamma3=0.0)
-        non_psd = SystemParams(1e7, 1e7, gamma3=0.0)
+        non_psd = SystemParams(3e8, 3e8, gamma3=0.0)
         for bad in (degenerate, non_psd):
             with pytest.raises(NoSteadyStateError):
                 steady_state(bad)
