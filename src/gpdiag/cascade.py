@@ -114,7 +114,7 @@ def steady_state(p: SystemParams) -> np.ndarray:
     NoSteadyStateError when the null vector is not positive semidefinite.
     """
     rho = null_space_unit_trace(liouvillian(p))
-    low = float(np.linalg.eigvalsh(rho).min())
+    low = float(np.linalg.eigvalsh(rho)[0])  # eigvalsh ascends
     if low < -1e-10:
         raise NoSteadyStateError(f"steady state not positive semidefinite (min eigenvalue {low:.3e})")
     return rho

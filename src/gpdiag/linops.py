@@ -101,9 +101,11 @@ def null_space_unit_trace(ell) -> np.ndarray:
     ell = np.asarray(ell)
     if ell.ndim != 2 or ell.shape[0] != ell.shape[1]:
         raise ContractViolationError(f"expected a square matrix, got shape {ell.shape}")
-    if np.iscomplexobj(ell):
+    if ell.dtype.kind == "c":
         raise ContractViolationError(f"expected a real matrix, got dtype {ell.dtype}")
-    if not np.isfinite(ell).all():
+    # svd may not return on an infinite entry, so non-finite entries are caught first: the sum of squares is
+    # finite when every entry is finite and below about 1e154, and the entrywise check runs only when it is not
+    if not math.isfinite(np.vdot(ell, ell)) and not np.isfinite(ell).all():
         raise ContractViolationError("matrix has non-finite entries")
     dim = math.isqrt(ell.shape[0])
     if dim * dim != ell.shape[0]:
@@ -111,10 +113,12 @@ def null_space_unit_trace(ell) -> np.ndarray:
     _, s, vh = np.linalg.svd(ell)
     if not math.isfinite(s[0]):
         raise NoSteadyStateError(f"singular value decomposition overflowed: largest singular value {s[0]}")
-    deficiency = int(np.count_nonzero(s <= RANK_EPS * s[0]))
-    if deficiency == 0:
-        raise NoSteadyStateError(f"no null vector: smallest singular value {s[-1]:.3e}")
-    if deficiency >= 2:
+    # s descends, so exactly one singular value is zero when the last one is and the one before it is not
+    cut = RANK_EPS * s[0]
+    if not (s[-1] <= cut and (len(s) == 1 or s[-2] > cut)):
+        deficiency = int(np.count_nonzero(s <= cut))
+        if deficiency == 0:
+            raise NoSteadyStateError(f"no null vector: smallest singular value {s[-1]:.3e}")
         raise DegenerateSteadyStateError(deficiency, f"null space has dimension {deficiency} (singular "
                                          f"values <= {RANK_EPS:g} x largest {s[0]:.3e})")
     x = vh[-1]

@@ -14,13 +14,13 @@ from gpdiag.linops import ContractViolationError
 
 
 def atomic_to_photon(rho: np.ndarray) -> np.ndarray:
-    """Relabel the atomic basis to the photon basis: |3> -> |00|, |2> -> |01>, |1> -> |11>.
+    """Relabel the atomic basis to the photon basis, |3> -> |00|, |2> -> |01>, |1> -> |11>, of a state or a stack.
 
     The atom still being excited means no photons emitted yet, so the map is
     the index reversal; entries are permuted with no numerical change.
     """
     rho = np.asarray(rho, dtype=complex)
-    return rho[::-1, ::-1].copy()
+    return rho[..., ::-1, ::-1].copy()
 
 
 def embed_two_qubit(rho3: np.ndarray) -> np.ndarray:

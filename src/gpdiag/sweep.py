@@ -165,16 +165,17 @@ def map_columns(fn, payloads, jobs):
 
 
 def photon_states(params):
-    """(states, defined): the two-photon steady states of `params`, solved point by point, as a stack, and
-    the indices of the points that have a unique positive semidefinite one; every other point is a gap."""
+    """(states, defined): the two-photon steady states of `params`, solved point by point, as an (N, 3, 3)
+    stack, and the indices of the N points that have a unique positive semidefinite one; every other point
+    is a gap."""
     states, defined = [], []
     for i, p in enumerate(params):
         try:
-            states.append(atomic_to_photon(steady_state(p)))
+            states.append(steady_state(p))
         except NoSteadyStateError:
             continue
         defined.append(i)
-    return np.array(states), defined
+    return atomic_to_photon(np.array(states).reshape(-1, 3, 3)), defined
 
 
 def _column_outputs(spec: PathSpec, outputs) -> np.ndarray:

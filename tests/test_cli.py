@@ -1,9 +1,17 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gpdiag.gp
 import gpdiag.recipes
 import gpdiag.sweep
 from gpdiag.cli import main
+from gpdiag.recipes import MIN_SAMPLES, RECIPE_IDS
 
 
 SWEEP_1D = """\
@@ -364,3 +372,30 @@ class TestRecipeCommand:
         assert "fig2_ii_6_6.csv" in captured.out
         assert "undefined points:" in captured.err
         assert (tmp_path / "fig2_meta.json").exists()
+
+
+# decay rates at the edges of the float range: zero, subnormals, and log-uniform over 1e-300 .. 1e300
+_EDGE_RATES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.2250738585072009e-308),
+    st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=5000)
+@given(recipe_id=st.sampled_from(RECIPE_IDS), gamma2=_EDGE_RATES, gamma3=_EDGE_RATES)
+def test_recipe_at_edge_rates_exits_cleanly(recipe_id, gamma2, gamma3):
+    # exit 0 with every listed file written, or exit 2 with no directory made; one stderr line, no traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(["recipe", recipe_id, "--samples", str(MIN_SAMPLES[recipe_id]), "--jobs", "1",
+                            "--out", str(out), "--gamma2", repr(gamma2), "--gamma3", repr(gamma3)])
+        assert code in (0, 2)
+        assert len(stderr.getvalue().splitlines()) <= 1
+        if code == 0:
+            files = stdout.getvalue().splitlines()
+            assert files and all(Path(f).is_file() for f in files)
+        else:
+            assert not out.exists()

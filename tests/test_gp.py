@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from gpdiag.gp import (
     EPS_LAMBDA,
     EPS_VIS,
     GAUGE_TOL,
+    SWEEPABLE,
     PathSpec,
     SpectralTrajectory,
     UndefinedPhaseError,
@@ -51,6 +53,23 @@ class TestPathSpec:
             PathSpec(BELL, "delta1", 0.0, 1.0, 1)
         with pytest.raises(ValueError):
             PathSpec(BELL, "omega1", -1.0, 1.0, 5)  # negative Rabi endpoint
+
+    @pytest.mark.parametrize("varying", SWEEPABLE)
+    def test_params_at_equals_replace(self, varying):
+        base = SystemParams(2.0, 3.0, -1.0, 0.5, 5.5, 0.75)
+        spec = PathSpec(base, varying, 1.0, 4.0, 7)
+        for value in spec.values():
+            point = spec.params_at(value)
+            assert point == dataclasses.replace(base, **{varying: value})
+            assert getattr(point, varying) is value
+
+    def test_params_at_rejects_a_negative_drive_as_replace_does(self):
+        spec = PathSpec(BELL, "omega1", 0.0, 1.0, 3)
+        with pytest.raises(ValueError) as expected:
+            dataclasses.replace(BELL, omega1=-1.0)
+        with pytest.raises(ValueError) as err:
+            spec.params_at(-1.0)
+        assert str(err.value) == str(expected.value) == "Rabi frequencies must be >= 0"
 
     def test_two_point_path(self):
         states = sample_path(PathSpec(BELL, "delta1", -1.0, 1.0, 2))

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_density, random_hermitian
 from gpdiag.cascade import SystemParams, build_hamiltonian, liouvillian
 from gpdiag.linops import (
+    RANK_EPS,
     ContractViolationError,
     DegenerateSteadyStateError,
     NoSteadyStateError,
@@ -117,6 +118,59 @@ def test_non_finite_real_or_imaginary_part_rejected(rng, bad):
     stack[2, 1, 1] = bad
     with pytest.raises(ContractViolationError, match="matrix has non-finite entries"):
         hermitian_eig(stack)
+
+
+def _only_off_diagonal_null_coordinate():
+    # coordinate 3 of hermitian_basis(3) is (E_01 + E_10)/sqrt(2), which has no diagonal, so no trace
+    ell = np.eye(9)
+    ell[3, 3] = 0.0
+    return ell
+
+
+# every failure branch of null_space_unit_trace: input, exact exception class, exact message
+_FAILURES = {
+    "overflow": (lambda: liouvillian(SystemParams(1e308, 1e308)), NoSteadyStateError,
+                 "singular value decomposition overflowed: largest singular value inf"),
+    "deficiency 0": (lambda: np.eye(9), NoSteadyStateError, "no null vector: smallest singular value 1.000e+00"),
+    "deficiency 3": (lambda: np.diag([0.0] * 3 + [1.0] * 6), DegenerateSteadyStateError,
+                     "null space has dimension 3 (singular values <= 1e-09 x largest 1.000e+00)"),
+    "deficiency 4": (lambda: liouvillian(SystemParams(0.0, 0.0, gamma2=6.0, gamma3=0.0)), DegenerateSteadyStateError,
+                     "null space has dimension 4 (singular values <= 1e-09 x largest 8.485e+00)"),
+    "traceless": (_only_off_diagonal_null_coordinate, NoSteadyStateError, "null vector is traceless (|tr| = 0.000e+00)"),
+    "1x1 nonzero": (lambda: np.ones((1, 1)), NoSteadyStateError, "no null vector: smallest singular value 1.000e+00"),
+    "1x1 nan": (lambda: np.full((1, 1), np.nan), ContractViolationError, "matrix has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_failure_branch_class_and_message(case):
+    make, cls, message = _FAILURES[case]
+    ell = make()
+    with pytest.raises(cls) as err:
+        null_space_unit_trace(ell)
+    # a DegenerateSteadyStateError is a NoSteadyStateError, so the class is compared exactly
+    assert type(err.value) is cls
+    assert str(err.value) == message
+    if cls is DegenerateSteadyStateError:
+        s = np.linalg.svd(ell, compute_uv=False)
+        assert err.value.deficiency == np.count_nonzero(s <= RANK_EPS * s[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_anywhere_rejected(bad):
+    # caught before the SVD: with an infinite entry in column 0, svd does not return
+    for i in range(9):
+        for j in range(9):
+            ell = liouvillian(SystemParams(6.0, 6.0))
+            ell[i, j] = bad
+            with pytest.raises(ContractViolationError) as err:
+                null_space_unit_trace(ell)
+            assert str(err.value) == "matrix has non-finite entries"
+
+
+def test_one_by_one_zero_is_its_own_null_vector():
+    rho = null_space_unit_trace(np.zeros((1, 1)))
+    assert rho.dtype == complex and np.array_equal(rho, [[1.0]])
 
 
 def test_null_residual_invariant(rng):

@@ -34,6 +34,14 @@ def test_relabel_preserves_spectrum(rng):
     )
 
 
+def test_relabel_stack_equals_member_calls_bitwise(rng):
+    stack = np.array([random_density(rng, 3) for _ in range(5)])
+    out = atomic_to_photon(stack)
+    assert out.shape == (5, 3, 3)
+    for member, rho in zip(out, stack):
+        assert np.array_equal(member, atomic_to_photon(rho))
+
+
 def test_scheme_ii_dark_state_sign_structure():
     # steady state at two-photon resonance must be -sin(X)|00> + cos(X)|11>
     for x in (0.3, math.pi / 4, 1.1):
