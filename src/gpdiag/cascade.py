@@ -93,16 +93,28 @@ def _generator_table() -> np.ndarray:
 
 
 _GENERATORS = _generator_table()
+# every row of |_GENERATORS| sums to at most 2, so no generator entry overflows while each |theta_k| is below this
+_THETA_SAFE = float(np.finfo(float).max) / 4.0
 
 
 def liouvillian(p: SystemParams) -> np.ndarray:
     """Real 9x9 generator in the coordinates of linops.hermitian_basis(3).
 
     With T that basis, T @ L @ T^dag is the superoperator of lindblad_rhs on
-    the row-major vec, and has the singular values of L.
+    the row-major vec, and has the singular values of L.  Raises
+    NoSteadyStateError when an entry overflows (parameters near the float limit).
     """
-    theta = np.array([p.omega1, p.omega2, p.delta1, p.delta1 + p.delta2, p.gamma2, p.gamma3])
-    return (_GENERATORS @ theta).reshape(9, 9)
+    d12 = p.delta1 + p.delta2
+    theta = np.array([p.omega1, p.omega2, p.delta1, d12, p.gamma2, p.gamma3])
+    # drives and rates are >= 0; each bound is compared on its own, since numpy scalars warn when a sum overflows
+    s = _THETA_SAFE
+    if p.omega1 < s and p.omega2 < s and p.gamma2 < s and p.gamma3 < s and -s < p.delta1 < s and -s < d12 < s:
+        return (_GENERATORS @ theta).reshape(9, 9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ell = (_GENERATORS @ theta).reshape(9, 9)
+    if not np.isfinite(ell).all():
+        raise NoSteadyStateError("Liouvillian overflowed: a generator entry exceeds the float range")
+    return ell
 
 
 def steady_state(p: SystemParams) -> np.ndarray:

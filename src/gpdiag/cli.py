@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
-from gpdiag.gp import UndefinedPhaseError
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 from gpdiag.recipes import MIN_SAMPLES, RECIPE_IDS, run_recipe
@@ -176,7 +175,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"gpdiag: i/o error: {err}", file=sys.stderr)
         return 1
-    except (NoSteadyStateError, UndefinedPhaseError) as err:
+    except NoSteadyStateError as err:
         print(f"gpdiag: numerical failure: {err}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,8 @@ the gauge-invariant discretization
 Per-sample phase redefinitions phi_k(j) -> e^{i a_j} phi_k(j) telescope out of
 z_k exactly, so no gauge fixing of the eigenvectors is needed.  The phase is
 undefined (Pancharatnam singularity) when the weighted overlap sum loses all
-visibility.
+visibility.  The pipeline's functions return an undefined phase as NaN, an
+empty CSV field; only mixed_state_gp raises UndefinedPhaseError.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class AxisSpec:
             raise ValueError(f"axis span stop - start must be finite, got [{self.start}, {self.stop}]")
         if self.samples < 2:
             raise ValueError(f"axis samples must be >= 2, got {self.samples}")
+        # a span of a few ulps rounds samples together, and a repeated sample leaves no step to differentiate by
+        if not (np.diff(self.values()) > 0.0).all():
+            raise ValueError(f"axis [{self.start}, {self.stop}] does not hold {self.samples} distinct samples")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.samples)
@@ -99,17 +103,6 @@ class SpectralTrajectory:
     kept_branches: tuple
     resolution_warning: bool
     min_overlap: float
-
-
-@dataclass(frozen=True)
-class GeometricPhaseResult:
-    gamma_g: float
-    branch_terms: dict
-    resolution_warning: bool
-
-    @property
-    def visibility(self) -> float:
-        return abs(sum(self.branch_terms.values()))
 
 
 def sample_path(spec: PathSpec) -> list:
@@ -188,11 +181,9 @@ def _prefix_terms(traj: SpectralTrajectory) -> np.ndarray:
 
     Row j, column b holds sqrt(lambda_k(0) lambda_k(j)) z_k for branch
     k = kept_branches[b], with z_k taken over the prefix; row 0 holds
-    lambda_k(0).  Raises UndefinedPhaseError when no branch carries weight.
+    lambda_k(0).  With no kept branch the array has no column.
     """
     kept = list(traj.kept_branches)
-    if not kept:
-        raise UndefinedPhaseError("no branch carries weight at both endpoints")
     lam = traj.eigenvalues[:, kept]
     kets = traj.eigenvectors[:, :, kept].swapaxes(1, 2)[..., None]
     bras = kets.conj().swapaxes(-1, -2)
@@ -204,19 +195,20 @@ def _prefix_terms(traj: SpectralTrajectory) -> np.ndarray:
     return np.concatenate([lam[:1], weights * z])
 
 
-def mixed_state_gp(traj: SpectralTrajectory) -> GeometricPhaseResult:
-    """Geometric phase of the full trajectory.
+def mixed_state_gp(traj: SpectralTrajectory) -> float:
+    """Geometric phase gamma_g of the full trajectory.
 
     Raises UndefinedPhaseError when no branch carries weight or the weighted
     overlap sum has modulus below EPS_VIS.
     """
-    terms = dict(zip(traj.kept_branches, _prefix_terms(traj)[-1]))
-    total = sum(terms.values())
+    if not traj.kept_branches:
+        raise UndefinedPhaseError("no branch carries weight at both endpoints")
+    total = sum(_prefix_terms(traj)[-1])
     if abs(total) <= EPS_VIS:
         raise UndefinedPhaseError(
             f"visibility {abs(total):.3e} below {EPS_VIS:g} (Pancharatnam singularity)"
         )
-    return GeometricPhaseResult(float(np.angle(total)), terms, traj.resolution_warning)
+    return float(np.angle(total))
 
 
 def fix_global_phase(psi: np.ndarray) -> np.ndarray:
@@ -237,18 +229,14 @@ def two_point_phases(reference, states) -> np.ndarray:
 
     psi is the dominant eigenvector (largest eigenvalue) in the |00> gauge of
     fix_global_phase.  One stacked hermitian_eig decomposes [reference,
-    *states], so each entry is what its state gives alone.  Raises
-    UndefinedPhaseError when any |<psi_ref|psi_j>| is below EPS_VIS.
+    *states], so each entry is what its state gives alone.  An entry is NaN
+    where |<psi_ref|psi_j>| is below EPS_VIS.
     """
     rhos = np.concatenate([np.asarray(reference, dtype=complex)[None], np.asarray(states, dtype=complex)])
     psi = fix_global_phase(hermitian_eig(rhos).eigenvectors[..., -1])
     # (1, n) @ (n, 1) matmuls are np.vdot's sum, bitwise
     overlaps = (psi[0].conj()[None, None, :] @ psi[1:, :, None])[:, 0, 0]
-    mags = np.hypot(overlaps.real, overlaps.imag)
-    j = int(np.argmin(mags))
-    if mags[j] < EPS_VIS:
-        raise UndefinedPhaseError(f"|<psi_ref|psi_{j}>| = {mags[j]:.3e}: phase undefined")
-    return np.angle(overlaps)
+    return np.where(np.hypot(overlaps.real, overlaps.imag) < EPS_VIS, np.nan, np.angle(overlaps))
 
 
 def unwrap_phases(values) -> np.ndarray:
@@ -263,11 +251,14 @@ def gp_curve_from_states(states) -> np.ndarray:
     """gamma_g of every prefix of a sampled path, anchored to zero at the start, as a float array.
 
     The spectral trajectory is built once and every prefix reuses it.
-    Undefined-phase points are NaN gaps; the defined points are unwrapped in
-    path order.  The branch columns are summed in order, as mixed_state_gp
-    sums its terms, so the last point equals mixed_state_gp bitwise.
+    Undefined-phase points are NaN gaps (all of them with fewer than 2 states
+    or no kept branch); the defined points are unwrapped in path order.  The
+    branch columns are summed one by one from zero, as mixed_state_gp sums
+    its terms, so the last point equals it bitwise; .sum(axis=1) can flip the
+    sign of a zero imaginary part, which moves np.angle by 2 pi.
     """
-    totals = sum(_prefix_terms(track_spectrum(states)).T)
+    terms = _prefix_terms(track_spectrum(states)) if len(states) >= 2 else np.zeros((len(states), 0))
+    totals = sum(terms.T, np.zeros(len(terms)))
     return unwrap_phases(np.where(np.abs(totals) > EPS_VIS, np.angle(totals), np.nan))
 
 

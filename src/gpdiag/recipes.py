@@ -11,7 +11,6 @@ a given sample count, independent of the worker count.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams
-from gpdiag.gp import AxisSpec, UndefinedPhaseError, gp_derivative, two_point_phases, unwrap_phases
+from gpdiag.gp import AxisSpec, gp_derivative, two_point_phases, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import NoSteadyStateError
 from gpdiag.sweep import map_columns, path_columns, photon_states, write_tables
@@ -114,16 +113,15 @@ def _fig4_ideal_column(x0, dx, omega2, gamma2, deltas):
 
 
 def _fig4_numeric_column(reference, x, omega2, gamma2, gamma3, deltas):
-    gaps = np.full((len(deltas), 1), np.nan)
+    gammas = np.full(len(deltas), np.nan)
     if reference is None or x < 0.0 or x >= math.pi / 2.0 - 1e-12:
-        return gaps
+        return gammas[:, None]
     o1 = math.tan(x) * omega2
     w = math.hypot(o1, omega2)
     states, defined = photon_states([SystemParams(o1, omega2, d * w, 0.0, gamma2, gamma3) for d in deltas])
-    if len(defined) == len(deltas):
-        with contextlib.suppress(UndefinedPhaseError):
-            return _fig4_slopes(two_point_phases(reference, states), deltas)
-    return gaps
+    gammas[defined] = two_point_phases(reference, states)
+    # a gap anywhere makes the whole slope column a gap
+    return _fig4_slopes(gammas, deltas)
 
 
 def _run_fig4(recipe_id, t, samples, jobs, gamma2, gamma3):

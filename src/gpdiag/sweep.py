@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
-from gpdiag.gp import AxisSpec, PathSpec, UndefinedPhaseError, gp_curve_from_states, gp_derivative
+from gpdiag.gp import AxisSpec, PathSpec, gp_curve_from_states, gp_derivative
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 
@@ -193,11 +193,8 @@ def _column_outputs(spec: PathSpec, outputs) -> np.ndarray:
     if not defined:
         return table
     gammas = np.full(len(values), np.nan)
-    if ("gamma_g" in outputs or "dgamma" in outputs) and len(states) >= 2:
-        try:
-            gammas[defined] = gp_curve_from_states(states)
-        except UndefinedPhaseError:
-            pass
+    if "gamma_g" in outputs or "dgamma" in outputs:
+        gammas[defined] = gp_curve_from_states(states)
     col = 0
     for out in outputs:
         if out == "eigenvalues":

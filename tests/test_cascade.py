@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import ideal_oracle as oracle
 from conftest import random_density, random_params
-from gpdiag.cascade import (DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams,
-                            build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
+from gpdiag.cascade import (_GENERATORS, _THETA_SAFE, DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL,
+                            SystemParams, build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
 from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
 from kron_oracle import coordinates, kron_liouvillian, kron_steady_state, lift, unvec, vec
 from rk4_oracle import _max_stable_dt, _rk4_step_matrix, evolve
@@ -108,6 +108,24 @@ class TestLiouvillian:
         ell = liouvillian(p)
         row = coordinates(np.eye(3)) @ ell
         assert np.max(np.abs(row)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [SystemParams(1.7e308, 1.7e308), SystemParams(1.7e308, 0.0),
+                                   SystemParams(0.0, 1.7e308, delta1=1.7e308, delta2=-1.7e308)], ids=repr)
+    def test_overflowing_generator_is_no_steady_state(self, p):
+        # the suite turns a RuntimeWarning into an error, so this also checks that the overflow warns nothing
+        for solve in (liouvillian, steady_state):
+            with pytest.raises(NoSteadyStateError) as err:
+                solve(p)
+            assert type(err.value) is NoSteadyStateError
+            assert str(err.value) == "Liouvillian overflowed: a generator entry exceeds the float range"
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_overflow_below_the_guard(self, sign):
+        # the guard on max |theta_k| assumes every row of the generator table has an absolute sum of at most 2
+        assert np.abs(_GENERATORS).sum(axis=1).max() <= 2.0 + 1e-15
+        below = float(np.nextafter(_THETA_SAFE, 0.0))
+        ell = liouvillian(SystemParams(below, below, sign * below, 0.0, below, below))
+        assert np.isfinite(ell).all()
 
 
 def _edge_or(lo, hi):

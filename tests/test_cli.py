@@ -1,10 +1,11 @@
+import configparser
 import contextlib
 import io
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpdiag.gp
@@ -58,6 +59,13 @@ class TestSteady:
         err = capsys.readouterr().err
         assert code == 2
         assert "overflowed" in err and "dimension" not in err
+
+    def test_drive_at_float_limit_is_numerical_failure(self, capsys):
+        # the generator overflows; the suite turns any RuntimeWarning into an error, so none is printed either
+        code = run_cli(["steady", "--omega1", "1.7e308", "--omega2", "1.7e308"])
+        assert code == 2
+        assert capsys.readouterr().err == ("gpdiag: numerical failure: "
+                                           "Liouvillian overflowed: a generator entry exceeds the float range\n")
 
     def test_non_positive_null_vector_is_numerical_failure(self, capsys):
         # at drives of 3e8 the scheme-II null vector has an eigenvalue below -1e-10 (about -7.5e-9)
@@ -214,6 +222,30 @@ samples = 5
         assert 0 < undefined < 21
         assert sum(purity == "" for _, purity in rows) == undefined
 
+    def test_path_without_kept_branch_has_empty_gamma_g(self, tmp_path, capsys):
+        # at omega2 = 0.001 in scheme II the omega1 path has steady states at 13 of its 21 points, but no spectral
+        # branch keeps weight at both of their ends, so the phase is undefined at every point
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D.replace("scheme = I", "scheme = II\nomega2 = 0.001")
+                          .replace("purity, gamma_g", "concurrence, gamma_g")
+                          .replace("parameter = delta1", "parameter = omega1").replace("start = -1", "start = 0")
+                          .replace("stop = 1\n", "stop = 6\n").replace("samples = 9", "samples = 21"))
+        code = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path), "--jobs", "1"])
+        assert code == 0
+        assert capsys.readouterr().err == "undefined points: 21\n"
+        rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 21
+        assert all(gamma == "" for *_, gamma in rows)
+        assert sum(concurrence != "" for _, concurrence, _ in rows) == 13
+
+    def test_drives_at_float_limit_are_gaps(self, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D.replace("scheme = I", "scheme = I\nomega1 = 1.7e308\nomega2 = 1.7e308"))
+        code = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "gpdiag: numerical failure: no sample point of the sweep produced a value\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["sweep", "--config", str(tmp_path / "nope.ini")]) == 1
 
@@ -354,6 +386,20 @@ class TestRecipeCommand:
         assert code == 0
         assert capsys.readouterr().err == "undefined points: 195\n"
 
+    def test_fig4_partly_solvable_columns_are_gaps(self, tmp_path, capsys):
+        # at gamma2 = 1e-7 the resonant point (delta offset 0) of the dX = 0.05 and 0.2 separable scheme-II
+        # columns has no steady state; the slope needs every point, so both columns are all gaps
+        code = run_cli(["recipe", "fig4", "--out", str(tmp_path), "--samples", "5",
+                        "--jobs", "1", "--gamma2", "1e-7"])
+        assert code == 0
+        assert capsys.readouterr().err == "undefined points: 135\n"
+        rows = [line.split(",") for line in (tmp_path / "fig4_separable_scheme2.csv").read_text().splitlines()[1:]]
+        slopes = {}
+        for _, dx, slope in rows:
+            slopes.setdefault(dx, []).append(slope)
+        assert slopes["0.05"] == slopes["0.2"] == [""] * 5
+        assert "" not in slopes["0"] + slopes["0.1"] + slopes["0.15"] + slopes["0.25"] + slopes["0.3"]
+
     @pytest.mark.parametrize("gamma2", ["1e155", "1e308"])
     def test_fig4_overflowing_closed_form_is_numerical_failure(self, gamma2, tmp_path, capsys):
         # the closed form's gamma21^2 overflows to NaN phases and the numeric
@@ -399,3 +445,104 @@ def test_recipe_at_edge_rates_exits_cleanly(recipe_id, gamma2, gamma3):
             assert files and all(Path(f).is_file() for f in files)
         else:
             assert not out.exists()
+
+
+_SEED_CONFIG = """\
+[sweep]
+scheme = I
+omega1 = 6
+omega2 = 6
+outputs = purity, concurrence, gamma_g, dgamma
+path = out.csv
+
+[axis1]
+parameter = delta1
+start = -1
+stop = 1
+samples = 3
+
+[axis2]
+parameter = omega1
+start = 0
+stop = 1
+samples = 2
+""".splitlines()
+
+_CONFIG_KEYS = ("scheme", "path", "outputs", "omega1", "omega2", "delta1", "delta2", "gamma2", "gamma3",
+                "parameter", "start", "stop", "samples", "OMEGA1", "bogus", "", " ")
+# values of every kind the keys take, wrong ones too; axis sample counts stay small through this list
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["", "I", "II", "custom", "delta1", "delta2", "omega1", "omega2", "gamma2", "purity",
+                     "eigenvalues, dgamma", "gamma_g,gamma_g", "out.csv", "../out.csv", "nan", "-inf", "abc",
+                     "0", "1", "2", "3", "-1", "1.5", "1e999", "= 1", "%(x)s"]),
+    st.sampled_from([5e-324, 1e-300, 1e155, 1e308, 1.7e308, -1.7e308, 1.7976931348623157e308]).map(repr),
+    st.floats(-10.0, 10.0).map(repr),
+)
+_CONFIG_SECTIONS = st.sampled_from(["[sweep]", "[axis1]", "[axis2]", "[DEFAULT]", "[axis3]", "[", "sweep]", ""])
+_CONFIG_MUTATIONS = st.one_of(
+    st.tuples(st.just("value"), st.integers(0, 99), _CONFIG_VALUES),
+    st.tuples(st.just("key"), st.integers(0, 99), st.sampled_from(_CONFIG_KEYS)),
+    st.tuples(st.just("section"), st.integers(0, 99), _CONFIG_SECTIONS),
+    st.tuples(st.just("duplicate"), st.integers(0, 99)),
+    st.tuples(st.just("delete"), st.integers(0, 99)),
+)
+_INVALID_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80", b"\xe2\x82"])
+
+
+def _mutated_config(mutations, newline, junk):
+    lines = list(_SEED_CONFIG)
+    for kind, at, *arg in mutations:
+        i = at % len(lines) if lines else 0
+        if kind == "value" and lines and "=" in lines[i]:
+            lines[i] = lines[i].split("=")[0] + "= " + arg[0]
+        elif kind == "key" and lines and "=" in lines[i]:
+            lines[i] = arg[0] + " =" + lines[i].split("=", 1)[1]
+        elif kind == "section":
+            lines.insert(i, arg[0])
+        elif kind == "duplicate" and lines:
+            lines.insert(i, lines[i])
+        elif kind == "delete" and lines:
+            del lines[i]
+    data = (newline.join(lines) + newline).encode()
+    if junk is not None:
+        at, byte = junk
+        data = data[:at % (len(data) + 1)] + byte + data[at % (len(data) + 1):]
+    return data
+
+
+def _parser_names_a_line(data):
+    """Whether the config reader can point at a line: a byte that is not UTF-8, or a configparser syntax error."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return True
+    try:
+        configparser.ConfigParser(interpolation=None).read_string(text.replace("\r\n", "\n").replace("\r", "\n"))
+    except configparser.Error:
+        return True
+    return False
+
+
+@settings(derandomize=True, max_examples=400, deadline=5000)
+@given(mutations=st.lists(_CONFIG_MUTATIONS, max_size=4), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       junk=st.none() | st.tuples(st.integers(0, 400), _INVALID_UTF8))
+# drives whose generator overflows, and an axis1 span too narrow for 3 distinct samples
+@example(mutations=[("value", 2, "1.7e+308"), ("value", 3, "1.7e+308")], newline="\n", junk=None)
+@example(mutations=[("value", 9, "0"), ("value", 10, "5e-324")], newline="\n", junk=None)
+def test_mutated_sweep_config_exits_cleanly(mutations, newline, junk):
+    # exit 0, 1 or 2 with at most one stderr line and no traceback, and an output directory only on exit 0;
+    # exit 1 names the line the reader knows
+    data = _mutated_config(mutations, newline, junk)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "sweep.ini"
+        config.write_bytes(data)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(["sweep", "--config", str(config), "--out", str(Path(tmp) / "out"), "--jobs", "1"])
+        wrote = (Path(tmp) / "out").exists()
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1
+    assert wrote == (code == 0)
+    if _parser_names_a_line(data):
+        assert code == 1 and "line" in err

@@ -14,6 +14,7 @@ from gpdiag.gp import (
     PathSpec,
     SpectralTrajectory,
     UndefinedPhaseError,
+    _prefix_terms,
     fix_global_phase,
     gp_curve_from_states,
     gp_derivative,
@@ -146,23 +147,21 @@ class TestMixedStateGp:
         from conftest import random_density
 
         states = [random_density(rng, 3)] * 7
-        result = mixed_state_gp(track_spectrum(states))
-        assert abs(result.gamma_g) <= 1e-12
+        assert abs(mixed_state_gp(track_spectrum(states))) <= 1e-12
 
     def test_qubit_circle_solid_angle(self):
         for theta in (math.pi / 6, math.pi / 3):
             states = circle_states(theta, 2001)
-            result = mixed_state_gp(track_spectrum(states))
+            gamma = mixed_state_gp(track_spectrum(states))
             expected = -2.0 * math.pi * math.sin(theta / 2.0) ** 2
-            assert circular_delta(result.gamma_g, expected) <= 1e-3
+            assert circular_delta(gamma, expected) <= 1e-3
 
     def test_visibility_and_branch_terms(self):
-        states = sample_path(PathSpec(BELL, "delta1", -3.0, 3.0, 101))
-        result = mixed_state_gp(track_spectrum(states))
-        assert set(result.branch_terms) == {0, 1, 2}
-        assert result.visibility > 0.1
-        total = sum(result.branch_terms.values())
-        assert abs(result.gamma_g - np.angle(total)) <= 1e-15
+        traj = track_spectrum(sample_path(PathSpec(BELL, "delta1", -3.0, 3.0, 101)))
+        assert traj.kept_branches == (0, 1, 2)
+        total = sum(_prefix_terms(traj)[-1])
+        assert abs(total) > 0.1
+        assert mixed_state_gp(traj) == np.angle(total)
 
     def test_undefined_for_orthogonal_pure_endpoints(self):
         e0 = np.zeros(2, dtype=complex)
@@ -174,8 +173,10 @@ class TestMixedStateGp:
         for t in np.linspace(0.0, math.pi / 2.0, 11):
             psi = math.cos(t) * e0 + math.sin(t) * e1
             states.append(np.outer(psi, psi.conj()))
-        with pytest.raises(UndefinedPhaseError):
+        with pytest.raises(UndefinedPhaseError, match="Pancharatnam singularity"):
             mixed_state_gp(track_spectrum(states))
+        curve = gp_curve_from_states(states)
+        assert np.isnan(curve[-1]) and np.isfinite(curve[:-1]).all()
 
     def test_undefined_without_kept_branch(self):
         # the weight moves entirely from e0 to e1, so no branch has it at both ends
@@ -183,6 +184,7 @@ class TestMixedStateGp:
         assert track_spectrum(states).kept_branches == ()
         with pytest.raises(UndefinedPhaseError, match="no branch carries weight"):
             mixed_state_gp(track_spectrum(states))
+        assert np.isnan(gp_curve_from_states(states)).all()
 
 
 def mixed_with(psi, weight=0.7):
@@ -212,8 +214,9 @@ class TestPancharatnam:
         psi = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         orth = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
         states = [mixed_with(psi), mixed_with(orth), mixed_with(psi)]
-        with pytest.raises(UndefinedPhaseError, match="psi_1"):
-            two_point_phases(mixed_with(psi), states)
+        phases = two_point_phases(mixed_with(psi), states)
+        assert np.isnan(phases[1])
+        assert np.isfinite(phases[[0, 2]]).all()
 
     def test_entry_independent_of_stack(self):
         # the fig4 Bell-window construction on 31 points of delta1
@@ -255,14 +258,19 @@ class TestGpCurve:
         curve = gp_curve_from_states(sample_path(spec))
         assert curve[0] == 0.0
         pair = mixed_state_gp(track_spectrum(sample_path(spec)))
-        assert abs(curve[1] - pair.gamma_g) <= 1e-12
+        assert abs(curve[1] - pair) <= 1e-12
 
     def test_multi_point_curve_ends_at_mixed_state_gp(self):
         # the fig5 ab path: the curve's last point is the phase of the whole path
         spec = PathSpec(BELL, "delta1", -3.0, 3.0, 601)
         end = gp_curve_from_states(sample_path(spec))[-1]
-        full = mixed_state_gp(track_spectrum(sample_path(spec))).gamma_g
+        full = mixed_state_gp(track_spectrum(sample_path(spec)))
         assert abs(math.remainder(end - full, 2 * math.pi)) <= 1e-12
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_states_is_all_gaps(self, count):
+        curve = gp_curve_from_states(np.full((count, 3, 3), np.eye(3) / 3.0))
+        assert curve.shape == (count,) and np.isnan(curve).all()
 
     def test_anchor_is_exactly_zero(self):
         curve = gp_curve_from_states(sample_path(PathSpec(BELL, "delta1", -3.0, 3.0, 51)))
@@ -286,7 +294,7 @@ class TestGpCurve:
     def test_gauge_invariance_under_rephasing(self, rng):
         states = sample_path(PathSpec(BELL, "delta1", -3.0, 3.0, 51))
         traj = track_spectrum(states)
-        base = mixed_state_gp(traj).gamma_g
+        base = mixed_state_gp(traj)
         for _ in range(5):
             phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=traj.eigenvectors.shape[::2]))
             rephased = SpectralTrajectory(
@@ -296,7 +304,7 @@ class TestGpCurve:
                 traj.resolution_warning,
                 traj.min_overlap,
             )
-            assert abs(mixed_state_gp(rephased).gamma_g - base) <= 1e-9
+            assert abs(mixed_state_gp(rephased) - base) <= 1e-9
 
     def test_pure_state_consistency_parallel_frames(self):
         # real frames are parallel transported (zero connection), so the
@@ -306,23 +314,23 @@ class TestGpCurve:
             psi = np.array([math.cos(t), math.sin(t)], dtype=complex)
             states.append(np.outer(psi, psi.conj()))
         traj = track_spectrum(states)
-        result = mixed_state_gp(traj)
+        gamma = mixed_state_gp(traj)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         psi1 = np.array([math.cos(1.0), math.sin(1.0)], dtype=complex)
-        assert abs(result.gamma_g - np.angle(np.vdot(psi0, psi1))) <= 1e-10
+        assert abs(gamma - np.angle(np.vdot(psi0, psi1))) <= 1e-10
 
     def test_pure_state_transport_correction(self):
         # single kept branch: gamma_g = endpoint Pancharatnam phase minus the
         # accumulated connection of the sampled frame
         states = circle_states(math.pi / 3, 201)
         traj = track_spectrum(states)
-        result = mixed_state_gp(traj)
+        gamma = mixed_state_gp(traj)
         k = traj.kept_branches[0]
         acc = 0.0
         for j in range(len(states) - 1):
             acc += np.angle(np.vdot(traj.eigenvectors[j][:, k], traj.eigenvectors[j + 1][:, k]))
         endpoint = np.angle(np.vdot(traj.eigenvectors[0][:, k], traj.eigenvectors[-1][:, k]))
-        assert circular_delta(result.gamma_g, endpoint - acc) <= 1e-12
+        assert circular_delta(gamma, endpoint - acc) <= 1e-12
 
     def test_refinement_convergence(self):
         # doubling the sample count must shrink the discretization error at

@@ -139,6 +139,8 @@ _FAILURES = {
     "traceless": (_only_off_diagonal_null_coordinate, NoSteadyStateError, "null vector is traceless (|tr| = 0.000e+00)"),
     "1x1 nonzero": (lambda: np.ones((1, 1)), NoSteadyStateError, "no null vector: smallest singular value 1.000e+00"),
     "1x1 nan": (lambda: np.full((1, 1), np.nan), ContractViolationError, "matrix has non-finite entries"),
+    "not a square size": (lambda: np.zeros((2, 2)), ContractViolationError,
+                          "superoperator size 2 is not a perfect square"),
 }
 
 

@@ -139,7 +139,8 @@ class TestParseConfig:
 
 @pytest.mark.parametrize("parameter, start, stop, samples", [
     ("banana", -1.0, 1.0, 5), ("delta1", 1.0, 1.0, 5), ("delta1", -1e308, 1e308, 5), ("delta1", -1.0, 1.0, 1),
-], ids=["unknown_parameter", "empty_range", "infinite_span", "one_sample"])
+    ("delta1", 0.0, 5e-324, 3), ("delta1", 1.0, 1.0000000000000002, 3),
+], ids=["unknown_parameter", "empty_range", "infinite_span", "one_sample", "subnormal_span", "one_ulp_span"])
 def test_path_and_config_share_the_axis_check(parameter, start, stop, samples):
     with pytest.raises(ValueError) as path_err:
         PathSpec(SystemParams(6.0, 6.0), parameter, start, stop, samples)
