@@ -124,8 +124,11 @@ def _cmd_sweep(args) -> int:
 
 def _apply_sweep_overrides(spec, args):
     rates = {key: getattr(args, key) for key in ("gamma2", "gamma3") if getattr(args, key) is not None}
-    axes = {name: dataclasses.replace(axis, samples=args.samples) for name, axis in
-            (("axis1", spec.axis1), ("axis2", spec.axis2)) if axis is not None and args.samples is not None}
+    try:
+        axes = {name: dataclasses.replace(axis, samples=args.samples) for name, axis in
+                (("axis1", spec.axis1), ("axis2", spec.axis2)) if axis is not None and args.samples is not None}
+    except ValueError as err:
+        raise ConfigError(f"--samples {args.samples}: {err}") from err
     return dataclasses.replace(spec, base=dataclasses.replace(spec.base, **rates), **axes)
 
 
@@ -174,6 +177,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as err:
         print(f"gpdiag: i/o error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:  # numpy refuses the axis of a huge sample count at once, before any output
+        print(f"gpdiag: out of memory: {err}", file=sys.stderr)
         return 1
     except NoSteadyStateError as err:
         print(f"gpdiag: numerical failure: {err}", file=sys.stderr)

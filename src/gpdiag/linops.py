@@ -89,6 +89,12 @@ def hermitian_basis(dim: int) -> np.ndarray:
     return t
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis_rows(dim: int) -> np.ndarray:
+    """Real rows of hermitian_basis(dim).T, read-only as the bytes they view: (x @ rows).view(complex) is T @ x."""
+    return np.frombuffer(hermitian_basis(dim).T.tobytes()).reshape(dim * dim, 2 * dim * dim)
+
+
 def null_space_unit_trace(ell) -> np.ndarray:
     """Unique null vector of a real superoperator, returned as a unit-trace Hermitian matrix.
 
@@ -122,8 +128,10 @@ def null_space_unit_trace(ell) -> np.ndarray:
         raise DegenerateSteadyStateError(deficiency, f"null space has dimension {deficiency} (singular "
                                          f"values <= {RANK_EPS:g} x largest {s[0]:.3e})")
     x = vh[-1]
-    tr = x[:dim].sum()
+    tr = 0.0  # the diagonal summed left to right, as numpy sums < 8 terms; builtin sum compensates from Python 3.12
+    for v in x[:dim].tolist():
+        tr += v
     if abs(tr) < 1e-6:
         raise NoSteadyStateError(f"null vector is traceless (|tr| = {abs(tr):.3e})")
     # a real combination of the Hermitian basis is Hermitian exactly: entries (i, j) and (j, i) are conjugates
-    return (hermitian_basis(dim) @ (x / tr)).reshape(dim, dim)
+    return ((x / tr) @ _hermitian_basis_rows(dim)).view(complex).reshape(dim, dim)

@@ -139,16 +139,19 @@ def parse_config(text: str) -> SweepSpec:
     return SweepSpec(base, axis1, axis2, outputs, sweep.get("path", "sweep.csv"))
 
 
-def format_field(value: float) -> str:
-    """12-significant-digit float formatting; the empty string for NaN, an undefined point."""
-    return "" if math.isnan(value) else f"{value:.12g}"
+# every CSV value has 12 significant digits; Python prints every NaN as "nan", which becomes an empty field
+_FIELD_FORMAT = "%.12g"
 
 
-def write_csv(path: Path, header, rows) -> None:
+def write_csv(path: Path, header, axis1_values, axis2_values, table) -> None:
+    """Write a grid_rows table axis1-major, each row led by its axis values; axis2_values is [None] for one column."""
+    fields = ",".join([_FIELD_FORMAT] * table.shape[2])
+    lead1 = [_FIELD_FORMAT % v + "," for v in np.asarray(axis1_values, dtype=float).tolist()]
+    lead2 = ["" if v is None else _FIELD_FORMAT % v + "," for v in axis2_values]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(format_field(v) for v in row) + "\n")
+        handle.writelines(v1 + v2 + (fields % tuple(values)).replace("nan", "") + "\n"
+                          for v1, line in zip(lead1, table.tolist()) for v2, values in zip(lead2, line))
 
 
 def map_columns(fn, payloads, jobs):
@@ -217,34 +220,27 @@ def path_columns(bases, axis: AxisSpec, outputs, jobs):
     return axis.values(), map_columns(_column_outputs, [(spec, outputs) for spec in specs], jobs)
 
 
-def grid_rows(axis1_values, axis2_values, columns):
-    """Rows of a table whose columns[i2] is the (axis1 samples, fields) float array of one column, NaN at gaps.
-
-    Rows run axis1-major, axis2-minor; axis2_values is [None] for a table of
-    one column.  Returns (rows, undefined, defined): the rows and the counts
-    of points with at least one empty field and with at least one value.
-    """
+def grid_rows(columns):
+    """(table, undefined, defined): the (axis1 samples, axis2 samples, fields) stack of the (axis1 samples, fields)
+    float columns, NaN at gaps, and the counts of points with at least one NaN field and with at least one value."""
     table = np.stack(columns, axis=1)
     gaps = np.isnan(table)
-    rows = [[float(v1)] + ([] if v2 is None else [float(v2)]) + fields
-            for v1, line in zip(axis1_values, table.tolist()) for v2, fields in zip(axis2_values, line)]
-    return rows, int(gaps.any(axis=2).sum()), int((~gaps).any(axis=2).sum())
+    return table, int(gaps.any(axis=2).sum()), int((~gaps).any(axis=2).sum())
 
 
 def write_tables(out_dir: Path, tables, source: str):
-    """Write (file name, header, axis1 values, axis2 values, columns) tables, laid out by grid_rows, into out_dir.
+    """Write (file name, header, axis1 values, axis2 values, columns) tables, stacked by grid_rows, into out_dir.
 
     Returns (paths, undefined point count).  Raises NoSteadyStateError, and
     creates and writes nothing, when no point of any table produced a value.
     """
-    tables = [(name, header, *grid_rows(*grid)) for name, header, *grid in tables]
-    if not any(defined for *_, defined in tables):
+    stacked = [grid_rows(columns) for *_, columns in tables]
+    if not any(defined for *_, defined in stacked):
         raise NoSteadyStateError(f"no sample point of the {source} produced a value")
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / name for name, *_ in tables]
-    for path, (_, header, rows, _, _) in zip(paths, tables):
-        write_csv(path, header, rows)
-    return paths, sum(undefined for *_, undefined, _ in tables)
+    for (name, header, axis1, axis2, _), (table, _, _) in zip(tables, stacked):
+        write_csv(out_dir / name, header, axis1, axis2, table)
+    return [out_dir / name for name, *_ in tables], sum(undefined for _, undefined, _ in stacked)
 
 
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1):

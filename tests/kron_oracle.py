@@ -5,6 +5,7 @@
 the same generator independently, as kron products acting on the row-major
 vec (vec(rho)[3*i + j] = rho[i, j]), and solves its null space with one
 complex SVD under the same rank, trace and positivity tests as the pipeline.
+It also keeps the complex-product form of the pipeline's state assembly.
 """
 
 import math
@@ -36,6 +37,15 @@ def lift(ell: np.ndarray) -> np.ndarray:
     """T @ L @ T^dag: a real superoperator in hermitian_basis coordinates, as a matrix on the row-major vec."""
     t = hermitian_basis(math.isqrt(len(ell)))
     return t @ ell @ t.conj().T
+
+
+def unit_trace_state(x: np.ndarray) -> np.ndarray:
+    """The unit-trace matrix of real hermitian_basis coordinates x as one complex product, the trace summed by numpy.
+
+    This is how null_space_unit_trace once assembled its state from the null vector x.
+    """
+    dim = math.isqrt(len(x))
+    return (hermitian_basis(dim) @ (x / x[:dim].sum())).reshape(dim, dim)
 
 
 def _dissipator(c):

@@ -329,6 +329,15 @@ samples = 9
         capsys.readouterr()
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 3
 
+    def test_samples_flag_too_many_for_the_axis_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D.replace("start = -1\nstop = 1", "start = 0\nstop = 5e-323")
+                          .replace("samples = 9", "samples = 2"))
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(config), "--out", str(out), "--samples", "30"]) == 1
+        assert capsys.readouterr().err == (
+            "gpdiag: config error: --samples 30: axis [0.0, 5e-323] does not hold 30 distinct samples\n")
+        assert not out.exists()
 
     def test_samples_help_names_each_default(self, capsys):
         helps = {}
@@ -338,6 +347,25 @@ samples = 9
         assert "samples per axis (default 601)" in helps["recipe"]
         assert "601" not in helps["sweep"]
         assert "default: each axis's samples in the config" in helps["sweep"]
+
+
+# numpy refuses an axis of this many samples at once; never test with a count that allocates (1e9 is 8 GB)
+HUGE_SAMPLES = str(10 ** 15)
+
+
+@pytest.mark.parametrize("route", ["recipe", "sweep config", "sweep flag"])
+def test_huge_samples_is_one_line_error(route, tmp_path, capsys):
+    config = tmp_path / "sweep.ini"
+    samples = HUGE_SAMPLES if route == "sweep config" else "9"
+    config.write_text(SWEEP_1D.replace("samples = 9", f"samples = {samples}"))
+    out = tmp_path / "out"
+    argv = {"recipe": ["recipe", "fig2", "--samples", HUGE_SAMPLES],
+            "sweep config": ["sweep", "--config", str(config)],
+            "sweep flag": ["sweep", "--config", str(config), "--samples", HUGE_SAMPLES]}[route]
+    assert run_cli(argv + ["--out", str(out), "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gpdiag: out of memory: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestRecipeCommand:

@@ -10,9 +10,10 @@ from gpdiag.linops import (
     NoSteadyStateError,
     hermitian_basis,
     hermitian_eig,
+    _hermitian_basis_rows,
     null_space_unit_trace,
 )
-from kron_oracle import coordinates, unvec, vec
+from kron_oracle import coordinates, unit_trace_state, unvec, vec
 
 
 def test_identity_spectrum():
@@ -235,3 +236,29 @@ def test_hermitian_basis_is_unitary_with_the_diagonal_first(rng):
         assert np.array_equal(m, m.conj().T)
         assert np.array_equal(np.diag(m).real, x[:dim])
     assert not hermitian_basis(3).flags.writeable
+
+
+def test_state_assembly_equals_the_complex_form_bitwise(rng, monkeypatch):
+    vectors = []
+    for dim in (2, 3, 4):
+        for _ in range(300):
+            x = rng.standard_normal(dim * dim) * 10.0 ** rng.integers(-12, 3, dim * dim)
+            x[rng.random(dim * dim) < 0.2] = rng.choice([0.0, -0.0, 5e-324])
+            if abs(x[:dim].sum()) >= 1e-6:
+                vectors.append(x)
+    # diagonals whose float sum depends on the order of the additions
+    for diagonal in ((1.0, 1e-16, 1e-16), (0.1, 0.2, 0.3), (1e-16, 1e-16, 1.0, -1e-16)):
+        x = rng.standard_normal(len(diagonal) ** 2)
+        x[:len(diagonal)] = diagonal
+        vectors.append(x)
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3) and (1.0 + 1e-16) + 1e-16 != 1.0 + (1e-16 + 1e-16)
+    for x in vectors:
+        # an SVD whose last right singular vector is exactly x, and every other singular value 1
+        s = np.r_[np.ones(len(x) - 1), 0.0]
+        vh = np.r_[np.zeros((len(x) - 1, len(x))), x[None]]
+        monkeypatch.setattr(np.linalg, "svd", lambda a: (None, s, vh))
+        rho = null_space_unit_trace(np.eye(len(x)))
+        expected = unit_trace_state(x)
+        assert rho.dtype == expected.dtype and rho.shape == expected.shape
+        assert rho.tobytes() == expected.tobytes()
+    assert not _hermitian_basis_rows(3).flags.writeable

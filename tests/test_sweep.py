@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from gpdiag.gp import PathSpec, gp_curve_from_states, gp_derivative, sample_path
 from gpdiag.linops import NoSteadyStateError
 from gpdiag.photons import atomic_to_photon
 from gpdiag.sweep import (
-    AxisSpec, ConfigError, SweepSpec, format_field, map_columns, parse_config, photon_states, run_sweep,
+    AxisSpec, ConfigError, SweepSpec, map_columns, parse_config, photon_states, run_sweep, write_csv,
 )
 
 MINIMAL = """\
@@ -238,10 +240,49 @@ samples = 61
         states, defined = photon_states([degenerate, non_psd])
         assert defined == [] and states.shape == (0, 3, 3)
 
-    def test_formatting(self):
-        assert format_field(np.nan) == ""
-        assert format_field(0.5) == "0.5"
-        assert len(format_field(1.0 / 3.0).replace("0.", "")) == 12
+    def test_formatting(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["x", "a", "b"], [0.5], [None], np.array([[[np.nan, 1.0 / 3.0]]]))
+        head, row = path.read_text(encoding="utf-8").splitlines()
+        v, empty, third = row.split(",")
+        assert (head, v, empty) == ("x,a,b", "0.5", "")
+        assert len(third.replace("0.", "")) == 12
+
+
+def _field_oracle(value: float) -> str:
+    """The field rule as each field was once formatted on its own: 12 significant digits, NaN empty."""
+    return "" if math.isnan(value) else f"{value:.12g}"
+
+
+def _csv_oracle(header, axis1_values, axis2_values, table) -> bytes:
+    """CSV bytes of a grid_rows table as rows of Python floats were once joined field by field."""
+    rows = [[float(v1)] + ([] if v2 is None else [float(v2)]) + fields
+            for v1, line in zip(axis1_values, table.tolist()) for v2, fields in zip(axis2_values, line)]
+    lines = [",".join(header)] + [",".join(_field_oracle(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+_EDGE_VALUES = (np.nan, -np.nan, math.copysign(math.nan, -1.0), 0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
+                math.inf, -math.inf, 1.0 / 3.0, 6.0, -6.0, 1e16, 1e-5, 123456789012.5)
+
+
+@pytest.mark.parametrize("fields", [1, 3, 4])
+@pytest.mark.parametrize("two_axes", [False, True])
+def test_write_csv_equals_field_by_field_join(tmp_path, rng, fields, two_axes):
+    axis1 = np.concatenate([np.linspace(-6.0, 6.0, 5), [0.0, -0.0, 5e-324, 1.0 / 3.0, 1.7e308]])
+    axis2 = np.array([-0.0, 1.0 / 3.0, 6.0]) if two_axes else [None]
+    values = np.array(_EDGE_VALUES)
+    table = values[rng.integers(len(values), size=(len(axis1), len(axis2), fields))]
+    table[2, 0] = np.nan  # a row with every field empty
+    table[3, 0] = values[:fields]
+    header = ["delta1"] + (["omega1"] if two_axes else []) + [f"f{k}" for k in range(fields)]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, axis1, axis2, table)
+    assert path.read_bytes() == _csv_oracle(header, axis1, axis2, table)
+    # every edge value in a 1-field table, whatever the draw above
+    column = (["x", "v"], np.arange(len(values), dtype=float), [None], values[:, None, None])
+    write_csv(path, *column)
+    assert path.read_bytes() == _csv_oracle(*column)
 
 
 def test_map_columns_starts_at_most_one_worker_per_payload(pool_calls):
