@@ -121,9 +121,9 @@ def steady_state(p: SystemParams) -> np.ndarray:
     """Unique fixed point of the master equation, as a 3x3 atomic density matrix.
 
     Solved exactly from the null space of the real Liouvillian.  Raises
-    NoSteadyStateError from linops when the null space is not one-dimensional
-    (DegenerateSteadyStateError, its subclass, when it is larger), and
-    NoSteadyStateError when the null vector is not positive semidefinite.
+    NoSteadyStateError when the generator overflows, when the null space is
+    not one-dimensional or its vector traceless (from linops), and when the
+    null vector is not positive semidefinite.
     """
     rho = null_space_unit_trace(liouvillian(p))
     low = float(np.linalg.eigvalsh(rho)[0])  # eigvalsh ascends

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gpdiag.cascade import SystemParams, steady_state
-from gpdiag.linops import DegenerateSteadyStateError, hermitian_eig
+from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon
 
 EPS_VIS = 1e-9
@@ -106,16 +106,13 @@ class SpectralTrajectory:
 
 
 def sample_path(spec: PathSpec) -> list:
-    """Steady states along the path, mapped to the two-photon basis."""
+    """Steady states along the path, mapped to the two-photon basis; a NoSteadyStateError names its sample."""
     states = []
     for index, value in enumerate(spec.values()):
         try:
             rho = steady_state(spec.params_at(value))
-        except DegenerateSteadyStateError as err:
-            raise DegenerateSteadyStateError(
-                err.deficiency,
-                f"degenerate steady state at sample {index} ({spec.varying} = {value:g})",
-            ) from err
+        except NoSteadyStateError as err:
+            raise NoSteadyStateError(f"sample {index} ({spec.varying} = {value:g}): {err}") from err
         states.append(atomic_to_photon(rho))
     return states
 

@@ -31,14 +31,6 @@ class NoSteadyStateError(RuntimeError):
     """No physical steady state: no usable null vector, or one that is not positive semidefinite."""
 
 
-class DegenerateSteadyStateError(NoSteadyStateError):
-    """The superoperator null space has dimension >= 2, so no steady state is unique."""
-
-    def __init__(self, deficiency: int, message: str | None = None):
-        self.deficiency = deficiency
-        super().__init__(message or f"null space has dimension {deficiency}")
-
-
 class EigenSystem(NamedTuple):
     """Eigenvalues in ascending order; eigenvectors[..., :, k] pairs with eigenvalues[..., k]."""
 
@@ -100,9 +92,9 @@ def null_space_unit_trace(ell) -> np.ndarray:
 
     `ell` acts on the coordinates of `hermitian_basis(dim)` of a dim x dim
     Hermitian matrix.  Singular values below RANK_EPS times the largest one
-    count as zero.  Exactly one zero singular value is required; 0, or an
-    overflowed decomposition, raises NoSteadyStateError and >= 2 raises
-    DegenerateSteadyStateError.
+    count as zero.  Exactly one zero singular value is required; any other
+    count, an overflowed decomposition or a traceless null vector raises
+    NoSteadyStateError.
     """
     ell = np.asarray(ell)
     if ell.ndim != 2 or ell.shape[0] != ell.shape[1]:
@@ -122,11 +114,8 @@ def null_space_unit_trace(ell) -> np.ndarray:
     # s descends, so exactly one singular value is zero when the last one is and the one before it is not
     cut = RANK_EPS * s[0]
     if not (s[-1] <= cut and (len(s) == 1 or s[-2] > cut)):
-        deficiency = int(np.count_nonzero(s <= cut))
-        if deficiency == 0:
-            raise NoSteadyStateError(f"no null vector: smallest singular value {s[-1]:.3e}")
-        raise DegenerateSteadyStateError(deficiency, f"null space has dimension {deficiency} (singular "
-                                         f"values <= {RANK_EPS:g} x largest {s[0]:.3e})")
+        raise NoSteadyStateError(f"null space has dimension {np.count_nonzero(s <= cut)} (singular values <= "
+                                 f"{RANK_EPS:g} x largest {s[0]:.3e}, smallest {s[-1]:.3e})")
     x = vh[-1]
     tr = 0.0  # the diagonal summed left to right, as numpy sums < 8 terms; builtin sum compensates from Python 3.12
     for v in x[:dim].tolist():

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from gpdiag.cascade import SystemParams, build_hamiltonian
-from gpdiag.linops import RANK_EPS, DegenerateSteadyStateError, NoSteadyStateError, hermitian_basis
+from gpdiag.linops import RANK_EPS, NoSteadyStateError, hermitian_basis
 
 _I3 = np.eye(3, dtype=complex)
 
@@ -68,11 +68,9 @@ def kron_steady_state(p: SystemParams) -> np.ndarray:
     _, s, vh = np.linalg.svd(kron_liouvillian(p))
     if not np.isfinite(s[0]):
         raise NoSteadyStateError(f"singular value decomposition overflowed: largest singular value {s[0]}")
-    deficiency = int(np.count_nonzero(s <= RANK_EPS * s[0]))
-    if deficiency == 0:
-        raise NoSteadyStateError(f"no null vector: smallest singular value {s[-1]:.3e}")
-    if deficiency >= 2:
-        raise DegenerateSteadyStateError(deficiency)
+    dimension = int(np.count_nonzero(s <= RANK_EPS * s[0]))
+    if dimension != 1:
+        raise NoSteadyStateError(f"null space has dimension {dimension}")
     m = unvec(vh[-1].conj(), 3)
     tr = m.trace()
     if abs(tr) < 1e-6:

@@ -10,7 +10,7 @@ import ideal_oracle as oracle
 from conftest import random_density, random_params
 from gpdiag.cascade import (_GENERATORS, _THETA_SAFE, DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL,
                             SystemParams, build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
-from gpdiag.linops import DegenerateSteadyStateError, NoSteadyStateError, hermitian_eig
+from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from kron_oracle import coordinates, kron_liouvillian, kron_steady_state, lift, unvec, vec
 from rk4_oracle import _max_stable_dt, _rk4_step_matrix, evolve
 
@@ -244,7 +244,7 @@ class TestSteadyState:
         np.testing.assert_allclose(rho, projector(0), atol=1e-12)
 
     def test_undriven_scheme_ii_degenerate(self):
-        with pytest.raises(DegenerateSteadyStateError):
+        with pytest.raises(NoSteadyStateError, match="null space has dimension 4 "):
             steady_state(SystemParams(0, 0, 0, 0, 6.0, 0.0))
 
     def test_matches_long_time_evolution(self):

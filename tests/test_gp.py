@@ -24,7 +24,7 @@ from gpdiag.gp import (
     two_point_phases,
     unwrap_phases,
 )
-from gpdiag.linops import DegenerateSteadyStateError
+from gpdiag.linops import NoSteadyStateError
 
 BELL = SystemParams(6.0, 6.0)
 
@@ -90,9 +90,17 @@ class TestPathSpec:
 
     def test_degenerate_point_reports_sample_index(self):
         base = SystemParams(0.0, 0.0, gamma3=0.0)
-        with pytest.raises(DegenerateSteadyStateError) as err:
+        with pytest.raises(NoSteadyStateError) as err:
             sample_path(PathSpec(base, "delta1", -1.0, 1.0, 3))
-        assert "sample 0" in str(err.value)
+        assert str(err.value).startswith("sample 0 (delta1 = -1): null space has dimension ")
+        assert type(err.value.__cause__) is NoSteadyStateError
+
+    def test_overflowing_point_reports_sample_index(self):
+        # every failure is named, not only a rank failure: sample 1 drives at 1.7e308 and overflows the generator
+        with pytest.raises(NoSteadyStateError) as err:
+            sample_path(PathSpec(SystemParams(6.0, 6.0), "omega1", 6.0, 1.7e308, 2))
+        assert "sample 1" in str(err.value)
+        assert "Liouvillian overflowed" in str(err.value)
 
 
 class TestTrackSpectrum:

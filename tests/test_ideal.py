@@ -6,12 +6,13 @@ import pytest
 import gpdiag.ideal
 import ideal_oracle as oracle
 from gpdiag.cascade import SystemParams, steady_state
-from gpdiag.gp import fix_global_phase
+from gpdiag.gp import fix_global_phase, two_point_phases
 from gpdiag.ideal import beta_coefficient, pure_concurrence, taylor_gp
 from ideal_oracle import beta_coefficient_rederived, dark_state, ideal_density_matrix
 from gpdiag.linops import hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence
 from gpdiag.recipes import run_recipe
+from gpdiag.sweep import photon_states
 
 
 def scheme_ii_at(x, delta_bar, omega=6.0):
@@ -142,6 +143,36 @@ class TestBetaCoefficient:
         for name in ("separable_scheme2", "separable_scheme1", "bell_scheme2", "bell_scheme1"):
             numeric = [tmp_path / beta / f"fig4_{name}.csv" for beta in ("transcribed", "rederived")]
             assert numeric[0].read_bytes() == numeric[1].read_bytes()
+
+    @staticmethod
+    def _concurrence_from_slope(gamma3):
+        """(X, C, C_est) at 10 mixing angles: C_est inverts criterion 06's s = gamma2 cos^2 X / (2 omega2^2)."""
+        omega2 = gamma2 = 6.0
+        h = 1e-3
+        rows = []
+        for x in np.linspace(0.1, 1.45, 10):
+            params = [SystemParams(math.tan(x) * omega2, omega2, delta1=d, gamma2=gamma2, gamma3=gamma3)
+                      for d in (0.0, h, -h)]
+            states, defined = photon_states(params)
+            assert defined == [0, 1, 2]
+            plus, minus = two_point_phases(states[0], states[1:])
+            slope = -(plus - minus) / (2.0 * h)
+            cos4 = min(max(2.0 * slope * omega2**2 / gamma2, 0.0), 1.0)
+            rows.append((x, float(concurrence(states[0])), math.sin(2.0 * math.acos(cos4**0.25))))
+        return rows
+
+    def test_concurrence_from_phase_slope_evidence(self):
+        # the paper's first claim: the resonant slope of the phase gives the concurrence. It does in
+        # scheme II, where the state is the pure dark state; scheme I's cascade decay breaks the inversion
+        scheme2, scheme1 = self._concurrence_from_slope(0.0), self._concurrence_from_slope(1.0)
+        miss2, miss1 = (max(abs(c - c_est) for _, c, c_est in rows) for rows in (scheme2, scheme1))
+        x, c, c_est = scheme1[6]
+        print(f"\nmax |C - C_est|: scheme II {miss2:.2e}, scheme I {miss1:.3f} "
+              f"(X = {x:.2f}: C = {c:.3f}, C_est = {c_est:.3f})")
+        assert miss2 <= 1e-3
+        assert miss1 > 0.5
+        assert abs(x - 1.0) <= 1e-12
+        assert round(c, 2) == 0.31 and round(c_est, 2) == 0.94
 
 
 class TestTaylorGp:
