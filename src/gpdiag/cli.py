@@ -83,8 +83,9 @@ def _add_common(sub, flag_defaults: bool = True):
     sub.add_argument("--samples", type=_samples, default=601 if flag_defaults else None,
                      help="samples per axis (default 601)" if flag_defaults
                      else "samples of every axis (default: each axis's samples in the config)")
-    sub.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
-                     help="worker processes, at most one per column (default: number of processors)")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    sub.add_argument("--jobs", type=_jobs, default=cpus,
+                     help="worker processes, at most one per column (default: the processors this process may use)")
     sub.add_argument("--gamma2", type=_non_negative,
                      default=DEFAULT_GAMMA2 if flag_defaults else None)
     sub.add_argument("--gamma3", type=_non_negative,

@@ -13,7 +13,6 @@ the real form with one real SVD.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -59,7 +58,6 @@ def hermitian_eig(a) -> EigenSystem:
     return EigenSystem(w, v)
 
 
-@functools.lru_cache(maxsize=None)
 def hermitian_basis(dim: int) -> np.ndarray:
     """Unitary map T from real coordinates x to the row-major vec of a dim x dim Hermitian matrix.
 
@@ -67,7 +65,7 @@ def hermitian_basis(dim: int) -> np.ndarray:
     then (E_ij + E_ji)/sqrt(2) and i(E_ij - E_ji)/sqrt(2) for each i < j; so
     x[:dim] is the diagonal and its sum the trace.  A superoperator L that
     keeps Hermiticity is the real matrix T^dag L T in these coordinates.
-    Cached per dim and read-only.
+    Read-only.
     """
     t = np.zeros((dim * dim, dim * dim), dtype=complex)
     t[np.arange(dim) * (dim + 1), np.arange(dim)] = 1.0
@@ -81,46 +79,41 @@ def hermitian_basis(dim: int) -> np.ndarray:
     return t
 
 
-@functools.lru_cache(maxsize=None)
-def _hermitian_basis_rows(dim: int) -> np.ndarray:
-    """Real rows of hermitian_basis(dim).T, read-only as the bytes they view: (x @ rows).view(complex) is T @ x."""
-    return np.frombuffer(hermitian_basis(dim).T.tobytes()).reshape(dim * dim, 2 * dim * dim)
+# real rows of hermitian_basis(3).T, read-only as the bytes they view: (x @ _BASIS_ROWS).view(complex) is T @ x
+_BASIS_ROWS = np.frombuffer(hermitian_basis(3).T.tobytes()).reshape(9, 18)
 
 
 def null_space_unit_trace(ell) -> np.ndarray:
-    """Unique null vector of a real superoperator, returned as a unit-trace Hermitian matrix.
+    """Unique null vector of the real 9x9 generator, returned as a unit-trace Hermitian 3x3 matrix.
 
-    `ell` acts on the coordinates of `hermitian_basis(dim)` of a dim x dim
-    Hermitian matrix.  Singular values below RANK_EPS times the largest one
-    count as zero.  Exactly one zero singular value is required; any other
-    count, an overflowed decomposition or a traceless null vector raises
-    NoSteadyStateError.
+    `ell` acts on the coordinates of `hermitian_basis(3)` of a 3x3 Hermitian
+    matrix; any other shape raises ContractViolationError.  Singular values
+    below RANK_EPS times the largest one count as zero.  Exactly one zero
+    singular value is required; any other count, an overflowed decomposition
+    or a traceless null vector raises NoSteadyStateError.
     """
     ell = np.asarray(ell)
-    if ell.ndim != 2 or ell.shape[0] != ell.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {ell.shape}")
+    if ell.shape != (9, 9):
+        raise ContractViolationError(f"expected the 9x9 real generator, got shape {ell.shape}")
     if ell.dtype.kind == "c":
         raise ContractViolationError(f"expected a real matrix, got dtype {ell.dtype}")
     # svd may not return on an infinite entry, so non-finite entries are caught first: the sum of squares is
     # finite when every entry is finite and below about 1e154, and the entrywise check runs only when it is not
     if not math.isfinite(np.vdot(ell, ell)) and not np.isfinite(ell).all():
         raise ContractViolationError("matrix has non-finite entries")
-    dim = math.isqrt(ell.shape[0])
-    if dim * dim != ell.shape[0]:
-        raise ContractViolationError(f"superoperator size {ell.shape[0]} is not a perfect square")
     _, s, vh = np.linalg.svd(ell)
     if not math.isfinite(s[0]):
         raise NoSteadyStateError(f"singular value decomposition overflowed: largest singular value {s[0]}")
     # s descends, so exactly one singular value is zero when the last one is and the one before it is not
     cut = RANK_EPS * s[0]
-    if not (s[-1] <= cut and (len(s) == 1 or s[-2] > cut)):
+    if not (s[-1] <= cut and s[-2] > cut):
         raise NoSteadyStateError(f"null space has dimension {np.count_nonzero(s <= cut)} (singular values <= "
                                  f"{RANK_EPS:g} x largest {s[0]:.3e}, smallest {s[-1]:.3e})")
     x = vh[-1]
     tr = 0.0  # the diagonal summed left to right, as numpy sums < 8 terms; builtin sum compensates from Python 3.12
-    for v in x[:dim].tolist():
+    for v in x[:3].tolist():
         tr += v
     if abs(tr) < 1e-6:
         raise NoSteadyStateError(f"null vector is traceless (|tr| = {abs(tr):.3e})")
     # a real combination of the Hermitian basis is Hermitian exactly: entries (i, j) and (j, i) are conjugates
-    return ((x / tr) @ _hermitian_basis_rows(dim)).view(complex).reshape(dim, dim)
+    return ((x / tr) @ _BASIS_ROWS).view(complex).reshape(3, 3)

@@ -13,8 +13,9 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
+import multiprocessing
+import sys
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_
 from gpdiag.gp import AxisSpec, PathSpec, gp_curve_from_states, gp_derivative
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
+# Linux forks on every Python (3.14 defaults to forkserver), so the workers are the caller's children and need no guard
+Pool = multiprocessing.get_context("fork").Pool if sys.platform == "linux" else multiprocessing.Pool
 
 OUTPUT_KINDS = ("eigenvalues", "purity", "concurrence", "gamma_g", "dgamma")
 # the CSV fields of each output, in column order

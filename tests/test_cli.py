@@ -1,6 +1,7 @@
 import configparser
 import contextlib
 import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gpdiag.cli
 import gpdiag.gp
 import gpdiag.recipes
 import gpdiag.sweep
@@ -128,6 +130,11 @@ class TestUsageErrors:
         assert run_cli([*command, "--jobs", jobs, "--out", str(tmp_path)]) == 1
         assert f"argument --jobs: {jobs!r} is not an integer >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_jobs_default_is_the_processors_this_process_may_use(self, monkeypatch):
+        # an affinity mask of one CPU, as taskset or a cpuset gives; os.cpu_count() still counts the whole machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert gpdiag.cli._build_parser().parse_args(["recipe", "fig2"]).jobs == 1
 
     @pytest.mark.parametrize("recipe_id", ["fig4", "fig5", "fig6"])
     def test_derivative_recipe_two_samples(self, recipe_id, tmp_path, capsys):

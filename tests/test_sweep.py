@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,3 +292,16 @@ def test_write_csv_equals_field_by_field_join(tmp_path, rng, fields, two_axes):
 def test_map_columns_starts_at_most_one_worker_per_payload(pool_calls):
     assert map_columns(pow, [(2, 3), (3, 2)], jobs=8) == [8, 9]
     assert pool_calls == [(2, "pow", 2)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+def test_pool_workers_are_children_of_the_caller_under_any_start_method():
+    # forkserver is the Linux default from Python 3.14; its workers would be children of the fork server
+    script = ("import multiprocessing, os\n"
+              "from gpdiag.sweep import map_columns\n"
+              "multiprocessing.set_start_method('forkserver', force=True)\n"
+              "assert map_columns(os.getppid, [(), ()], jobs=2) == [os.getpid()] * 2\n")
+    src = str(Path(gpdiag.sweep.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
