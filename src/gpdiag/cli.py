@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -116,21 +115,11 @@ def _cmd_sweep(args) -> int:
     except UnicodeDecodeError as err:
         line = data[:err.start].count(b"\n") + 1
         raise ConfigError(f"line {line}: byte 0x{data[err.start]:02x} is not valid UTF-8") from err
-    spec = _apply_sweep_overrides(parse_config(text), args)
+    spec = parse_config(text, samples=args.samples, gamma2=args.gamma2, gamma3=args.gamma3)
     path, undefined = run_sweep(spec, args.out, jobs=args.jobs)
     print(path)
     print(f"undefined points: {undefined}", file=sys.stderr)
     return 0
-
-
-def _apply_sweep_overrides(spec, args):
-    rates = {key: getattr(args, key) for key in ("gamma2", "gamma3") if getattr(args, key) is not None}
-    try:
-        axes = {name: dataclasses.replace(axis, samples=args.samples) for name, axis in
-                (("axis1", spec.axis1), ("axis2", spec.axis2)) if axis is not None and args.samples is not None}
-    except ValueError as err:
-        raise ConfigError(f"--samples {args.samples}: {err}") from err
-    return dataclasses.replace(spec, base=dataclasses.replace(spec.base, **rates), **axes)
 
 
 def _cmd_steady(args) -> int:

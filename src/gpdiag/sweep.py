@@ -85,8 +85,10 @@ def _get_float(section, key, lineno_hint) -> float:
     return value
 
 
-def parse_config(text: str) -> SweepSpec:
-    """Strict parse of the flat key=value sweep configuration."""
+def parse_config(text: str, samples: int | None = None, gamma2: float | None = None,
+                 gamma3: float | None = None) -> SweepSpec:
+    """Strict parse of the flat key=value sweep configuration.  A given samples (of every axis), gamma2 or gamma3
+    replaces the config value before any range check; the value it replaces must still be well formed."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -114,6 +116,7 @@ def parse_config(text: str) -> SweepSpec:
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
     overrides = {key: _get_float(sweep, key, "[sweep]") for key in _PARAM_KEYS if key in sweep}
+    overrides |= {key: value for key, value in (("gamma2", gamma2), ("gamma3", gamma3)) if value is not None}
     # the defaults of a scheme: omega1 = omega2 = 6 on resonance, with its decay rates
     default_gamma3 = DEFAULT_GAMMA3_IDEAL if scheme == "II" else DEFAULT_GAMMA3_REAL
     try:
@@ -128,14 +131,16 @@ def parse_config(text: str) -> SweepSpec:
             if key not in section:
                 raise ConfigError(f"[{section_name}] is missing key {key!r}")
         try:
-            samples = int(section["samples"])
+            count = int(section["samples"])
         except ValueError as err:
             raise ConfigError(f"[{section_name}]: samples must be an integer") from err
         start, stop = (_get_float(section, key, f"[{section_name}]") for key in ("start", "stop"))
         try:
-            return AxisSpec(section["parameter"].strip(), start, stop, samples)
+            return AxisSpec(section["parameter"].strip(), start, stop, count if samples is None else samples)
         except ValueError as err:
-            raise ConfigError(f"[{section_name}]: {err}") from err
+            # --samples is at least 2, so of the axis checks only the distinct-sample one can fault it
+            flagged = samples is not None and "distinct samples" in str(err)
+            raise ConfigError(f"{f'--samples {samples}' if flagged else f'[{section_name}]'}: {err}") from err
 
     axis1 = axis_from("axis1")
     axis2 = axis_from("axis2") if "axis2" in parser else None

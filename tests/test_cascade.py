@@ -11,6 +11,7 @@ from conftest import random_density, random_params
 from gpdiag.cascade import (_GENERATORS, _THETA_SAFE, DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL,
                             SystemParams, build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
+from gpdiag.photons import concurrence, purity
 from kron_oracle import coordinates, kron_liouvillian, kron_steady_state, lift, unvec, vec
 from rk4_oracle import _max_stable_dt, _rk4_step_matrix, evolve
 
@@ -227,6 +228,39 @@ def test_steady_state_matches_kron_oracle_on_parameter_box(p):
     assert not isinstance(got, type), f"{got.__name__} where the complex solve finds a steady state"
     s = np.linalg.svd(kron_liouvillian(p), compute_uv=False)
     assert np.max(np.abs(got - expected)) <= 64 * np.finfo(float).eps * s[0] / s[-2]
+
+
+# rho -> U rho* U with U = diag(1, -1, 1) flips the sign of these hermitian_basis(3) coordinates:
+# the symmetric (1, 2) and (2, 3) ones and the antisymmetric (1, 3) one
+_MIRROR = np.diag([1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+_U = np.diag([1.0, -1.0, 1.0])
+
+
+def _check_detuning_mirror(p):
+    """Negating both detunings conjugates the generator by pure sign flips, so the steady state becomes
+    U rho* U, with the same gap decision, concurrence and purity."""
+    q = replace(p, delta1=-p.delta1, delta2=-p.delta2)
+    np.testing.assert_array_equal(liouvillian(q), _MIRROR @ liouvillian(p) @ _MIRROR)
+    rho, mirrored = _outcome(steady_state, p), _outcome(steady_state, q)
+    if isinstance(rho, type):
+        assert mirrored is rho
+        return
+    assert not isinstance(mirrored, type), f"{mirrored.__name__} at the mirror of a steady state"
+    np.testing.assert_allclose(mirrored, _U @ rho.conj() @ _U, rtol=0.0, atol=1e-13)
+    assert abs(concurrence(mirrored) - concurrence(rho)) <= 1e-13
+    assert abs(purity(mirrored) - purity(rho)) <= 1e-13
+
+
+@pytest.mark.parametrize("scheme", ["I", "II"])
+def test_detuning_mirror_in_the_studied_regime(scheme, rng):
+    for _ in range(100):
+        _check_detuning_mirror(random_params(rng, scheme))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(p=_box_params)
+def test_detuning_mirror_on_parameter_box(p):
+    _check_detuning_mirror(p)
 
 
 class TestSteadyState:

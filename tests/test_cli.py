@@ -346,6 +346,38 @@ samples = 9
             "gpdiag: config error: --samples 30: axis [0.0, 5e-323] does not hold 30 distinct samples\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, config_value, flag_value", [
+        ("samples", "2", "5"), ("samples", "1", "5"), ("gamma2", "-1", "6"),
+    ], ids=["dgamma_samples", "one_sample", "negative_gamma2"])
+    def test_flag_replaces_config_value_before_range_check(self, key, config_value, flag_value, tmp_path, capsys):
+        def config_text(value):
+            text = SWEEP_1D.replace("purity, gamma_g", "gamma_g, dgamma")
+            if key == "samples":
+                return text.replace("samples = 9", f"samples = {value}")
+            return text.replace("[sweep]", f"[sweep]\n{key} = {value}")
+
+        config = tmp_path / "sweep.ini"
+        config.write_text(config_text(config_value))
+        assert run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "flag"), "--jobs", "1",
+                        f"--{key}", flag_value]) == 0
+        config.write_text(config_text(flag_value))
+        assert run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "config"), "--jobs", "1"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "flag" / "out.csv").read_bytes() == (tmp_path / "config" / "out.csv").read_bytes()
+
+    @pytest.mark.parametrize("replaced, flags, detail", [
+        (("samples = 9", "samples = abc"), ["--samples", "5"], "[axis1]: samples must be an integer"),
+        (("[sweep]", "[sweep]\ngamma3 = nan"), ["--gamma3", "0"], "[sweep]: gamma3 must be finite"),
+        (("delta1", "banana"), ["--samples", "5"], "[axis1]: unknown axis parameter 'banana'"),
+    ], ids=["samples_not_an_integer", "gamma3_not_finite", "unknown_parameter"])
+    def test_config_fault_under_flags_names_its_section(self, replaced, flags, detail, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D.replace(*replaced))
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(config), "--out", str(out), "--jobs", "1", *flags]) == 1
+        assert capsys.readouterr().err == f"gpdiag: config error: {detail}\n"
+        assert not out.exists()
+
     def test_samples_help_names_each_default(self, capsys):
         helps = {}
         for command in ("recipe", "sweep"):
