@@ -22,7 +22,7 @@ from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 from gpdiag.recipes import MIN_SAMPLES, RECIPE_IDS, run_recipe
-from gpdiag.sweep import ConfigError, parse_config, run_sweep
+from gpdiag.sweep import ConfigError, RunResult, parse_config, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,12 +58,15 @@ def _build_parser() -> _Parser:
 
     recipe = sub.add_parser("recipe", help="run a frozen figure recipe")
     recipe.add_argument("id", choices=RECIPE_IDS)
-    _add_common(recipe)
+    _add_common(recipe, {"default": 601, "help": "samples per axis (default 601)"}, {"default": DEFAULT_GAMMA2},
+                {"default": DEFAULT_GAMMA3_REAL, "help": "scheme-I decay of the top level"})
 
     sweep = sub.add_parser("sweep", help="run a sweep described by a config file")
     sweep.add_argument("--config", required=True, help="path to the sweep configuration")
-    # flag values override the config when given explicitly
-    _add_common(sweep, flag_defaults=False)
+    # a flag given replaces the config's value; an absent one is None and keeps it
+    _add_common(sweep, {"help": "samples of every axis (default: each axis's samples in the config)"},
+                {"help": "decay of the middle level, replacing the config's gamma2 in every scheme"},
+                {"help": "decay of the top level, replacing the config's gamma3 in every scheme"})
 
     steady = sub.add_parser("steady", help="print one steady state")
     steady.add_argument("--omega1", type=_non_negative, required=True)
@@ -77,19 +80,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _add_common(sub, flag_defaults: bool = True):
+def _add_common(sub, samples, gamma2, gamma3):
+    """The flags of recipe and sweep, in help order: --out and --jobs are the same for both, and samples, gamma2
+    and gamma3 hold the command's own default and help of --samples, --gamma2 and --gamma3."""
     sub.add_argument("--out", default="./out", help="output directory (default ./out)")
-    sub.add_argument("--samples", type=_samples, default=601 if flag_defaults else None,
-                     help="samples per axis (default 601)" if flag_defaults
-                     else "samples of every axis (default: each axis's samples in the config)")
+    sub.add_argument("--samples", type=_samples, **samples)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     sub.add_argument("--jobs", type=_jobs, default=cpus,
                      help="worker processes, at most one per column (default: the processors this process may use)")
-    sub.add_argument("--gamma2", type=_non_negative,
-                     default=DEFAULT_GAMMA2 if flag_defaults else None)
-    sub.add_argument("--gamma3", type=_non_negative,
-                     default=DEFAULT_GAMMA3_REAL if flag_defaults else None,
-                     help="scheme-I decay of the top level")
+    sub.add_argument("--gamma2", type=_non_negative, **gamma2)
+    sub.add_argument("--gamma3", type=_non_negative, **gamma3)
+
+
+def _report(result: RunResult) -> int:
+    """Print each written file to stdout and the undefined-point count to stderr."""
+    for path in result.files:
+        print(path)
+    print(f"undefined points: {result.undefined_points}", file=sys.stderr)
+    return 0
 
 
 def _cmd_recipe(args) -> int:
@@ -97,12 +105,8 @@ def _cmd_recipe(args) -> int:
     if args.samples < need:
         print(f"gpdiag recipe: error: argument --samples: {args.id} needs an integer >= {need}", file=sys.stderr)
         return 1
-    result = run_recipe(args.id, args.out, samples=args.samples, jobs=args.jobs,
-                        gamma2=args.gamma2, gamma3=args.gamma3)
-    for path in result.files:
-        print(path)
-    print(f"undefined points: {result.undefined_points}", file=sys.stderr)
-    return 0
+    return _report(run_recipe(args.id, args.out, samples=args.samples, jobs=args.jobs,
+                              gamma2=args.gamma2, gamma3=args.gamma3))
 
 
 def _cmd_sweep(args) -> int:
@@ -116,10 +120,7 @@ def _cmd_sweep(args) -> int:
         line = data[:err.start].count(b"\n") + 1
         raise ConfigError(f"line {line}: byte 0x{data[err.start]:02x} is not valid UTF-8") from err
     spec = parse_config(text, samples=args.samples, gamma2=args.gamma2, gamma3=args.gamma3)
-    path, undefined = run_sweep(spec, args.out, jobs=args.jobs)
-    print(path)
-    print(f"undefined points: {undefined}", file=sys.stderr)
-    return 0
+    return _report(run_sweep(spec, args.out, jobs=args.jobs))
 
 
 def _cmd_steady(args) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,19 +21,13 @@ from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_
 from gpdiag.gp import AxisSpec, gp_derivative, two_point_phases, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import NoSteadyStateError
-from gpdiag.sweep import map_columns, path_columns, photon_states, write_tables
+from gpdiag.sweep import RunResult, map_columns, path_columns, photon_states, write_tables
 
 # fewest samples per axis of each recipe; fig4 and fig5 differentiate along it,
 # which takes 3 points; at 2 samples the transport correction cancels the only
 # overlap phase, so every fig6 endpoint gamma_g is 0 up to rounding
 MIN_SAMPLES = {"fig2": 2, "fig3a": 2, "fig3b": 2, "fig4": 3, "fig5": 3, "fig6": 3}
 RECIPE_IDS = tuple(MIN_SAMPLES)
-
-
-@dataclass
-class RecipeResult:
-    files: list = field(default_factory=list)
-    undefined_points: int = 0
 
 
 # Each recipe runs as run(recipe_id, table, samples, jobs, gamma2, gamma3) and
@@ -212,8 +205,8 @@ _RECIPES = {
 
 
 def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
-               gamma2: float = DEFAULT_GAMMA2, gamma3: float = DEFAULT_GAMMA3_REAL) -> RecipeResult:
-    """Execute a figure recipe; returns the written files and undefined-point count.
+               gamma2: float = DEFAULT_GAMMA2, gamma3: float = DEFAULT_GAMMA3_REAL) -> RunResult:
+    """Execute a figure recipe; returns the written CSVs, then the sidecar, and the undefined-point count.
 
     Raises NoSteadyStateError when no point of the recipe produced a value.
     """
@@ -224,9 +217,10 @@ def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
     out_dir = Path(out_dir)
     run, table = _RECIPES[recipe_id]
     tables, entries = run(recipe_id, table, samples, jobs, gamma2, gamma3)
-    files, undefined = write_tables(out_dir, tables, "recipe")
+    result = write_tables(out_dir, tables, "recipe")
     meta = out_dir / f"{recipe_id}_meta.json"
     with open(meta, "w", encoding="utf-8", newline="\n") as handle:
         json.dump({**table, **entries, "recipe": recipe_id, "gamma2": gamma2}, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return RecipeResult(files + [meta], undefined)
+    result.files.append(meta)
+    return result

@@ -17,6 +17,7 @@ import multiprocessing
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,7 +153,7 @@ _FIELD_FORMAT = "%.12g"
 
 
 def write_csv(path: Path, header, axis1_values, axis2_values, table) -> None:
-    """Write a grid_rows table axis1-major, each row led by its axis values; axis2_values is [None] for one column."""
+    """Write a stacked table axis1-major, each row led by its axis values; axis2_values is [None] for one column."""
     fields = ",".join([_FIELD_FORMAT] * table.shape[2])
     lead1 = [_FIELD_FORMAT % v + "," for v in np.asarray(axis1_values, dtype=float).tolist()]
     lead2 = ["" if v is None else _FIELD_FORMAT % v + "," for v in axis2_values]
@@ -228,41 +229,36 @@ def path_columns(bases, axis: AxisSpec, outputs, jobs):
     return axis.values(), map_columns(_column_outputs, [(spec, outputs) for spec in specs], jobs)
 
 
-def grid_rows(columns):
-    """(table, undefined, defined): the (axis1 samples, axis2 samples, fields) stack of the (axis1 samples, fields)
-    float columns, NaN at gaps, and the counts of points with at least one NaN field and with at least one value."""
-    table = np.stack(columns, axis=1)
-    gaps = np.isnan(table)
-    return table, int(gaps.any(axis=2).sum()), int((~gaps).any(axis=2).sum())
+class RunResult(NamedTuple):
+    """What a recipe or sweep run wrote, and its count of grid points with at least one empty field."""
+
+    files: list
+    undefined_points: int
 
 
-def write_tables(out_dir: Path, tables, source: str):
-    """Write (file name, header, axis1 values, axis2 values, columns) tables, stacked by grid_rows, into out_dir.
+def write_tables(out_dir: Path, tables, source: str) -> RunResult:
+    """Write (file name, header, axis1 values, axis2 values, columns) tables into out_dir, each the
+    (axis1 samples, axis2 samples, fields) stack of its (axis1 samples, fields) float columns, NaN at gaps.
 
-    Returns (paths, undefined point count).  Raises NoSteadyStateError, and
-    creates and writes nothing, when no point of any table produced a value.
+    Raises NoSteadyStateError, and creates and writes nothing, when no point of
+    any table produced a value.
     """
-    stacked = [grid_rows(columns) for *_, columns in tables]
-    if not any(defined for *_, defined in stacked):
+    stacked = [np.stack(columns, axis=1) for *_, columns in tables]
+    gaps = [np.isnan(table) for table in stacked]
+    if all(gap.all() for gap in gaps):
         raise NoSteadyStateError(f"no sample point of the {source} produced a value")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for (name, header, axis1, axis2, _), (table, _, _) in zip(tables, stacked):
+    for (name, header, axis1, axis2, _), table in zip(tables, stacked):
         write_csv(out_dir / name, header, axis1, axis2, table)
-    return [out_dir / name for name, *_ in tables], sum(undefined for _, undefined, _ in stacked)
+    return RunResult([out_dir / name for name, *_ in tables], sum(int(gap.any(axis=2).sum()) for gap in gaps))
 
 
-def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1):
-    """Execute a sweep and write its CSV; returns (path, undefined_point_count).
-
-    The undefined count is the number of grid points with at least one empty
-    output field.  Raises NoSteadyStateError if every sample point failed.
-    """
+def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> RunResult:
+    """Execute a sweep and write its one CSV.  Raises NoSteadyStateError if every sample point failed."""
     axis1, axis2 = spec.axis1, spec.axis2
     axis2_values = [None] if axis2 is None else list(axis2.values())
     bases = [spec.base if v is None else replace(spec.base, **{axis2.parameter: v}) for v in axis2_values]
     axis1_values, columns = path_columns(bases, axis1, spec.outputs, jobs)
     header = [axis.parameter for axis in (axis1, axis2) if axis is not None] + [
         field for out in spec.outputs for field in _FIELDS[out]]
-    table = (spec.path, header, axis1_values, axis2_values, columns)
-    paths, undefined = write_tables(Path(out_dir), [table], "sweep")
-    return paths[0], undefined
+    return write_tables(Path(out_dir), [(spec.path, header, axis1_values, axis2_values, columns)], "sweep")

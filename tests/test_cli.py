@@ -31,6 +31,14 @@ samples = 9
 """
 
 
+# at omega2 = 0.001 in scheme II the omega1 path has steady states at 13 of its 21 points, but no spectral branch
+# keeps weight at both of their ends, so the phase is undefined at every point
+GAP_SWEEP = (SWEEP_1D.replace("scheme = I", "scheme = II\nomega2 = 0.001")
+             .replace("purity, gamma_g", "concurrence, gamma_g")
+             .replace("parameter = delta1", "parameter = omega1").replace("start = -1", "start = 0")
+             .replace("stop = 1\n", "stop = 6\n").replace("samples = 9", "samples = 21"))
+
+
 def run_cli(argv):
     try:
         return main(argv)
@@ -230,13 +238,8 @@ samples = 5
         assert sum(purity == "" for _, purity in rows) == undefined
 
     def test_path_without_kept_branch_has_empty_gamma_g(self, tmp_path, capsys):
-        # at omega2 = 0.001 in scheme II the omega1 path has steady states at 13 of its 21 points, but no spectral
-        # branch keeps weight at both of their ends, so the phase is undefined at every point
         config = tmp_path / "sweep.ini"
-        config.write_text(SWEEP_1D.replace("scheme = I", "scheme = II\nomega2 = 0.001")
-                          .replace("purity, gamma_g", "concurrence, gamma_g")
-                          .replace("parameter = delta1", "parameter = omega1").replace("start = -1", "start = 0")
-                          .replace("stop = 1\n", "stop = 6\n").replace("samples = 9", "samples = 21"))
+        config.write_text(GAP_SWEEP)
         code = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path), "--jobs", "1"])
         assert code == 0
         assert capsys.readouterr().err == "undefined points: 21\n"
@@ -387,6 +390,21 @@ samples = 9
         assert "601" not in helps["sweep"]
         assert "default: each axis's samples in the config" in helps["sweep"]
 
+    def test_gamma_help_names_each_scope(self, capsys):
+        helps = {}
+        for command in ("recipe", "sweep"):
+            assert run_cli([command, "--help"]) == 0
+            helps[command] = " ".join(capsys.readouterr().out.split())
+            flags = ("--out", "--samples", "--jobs", "--gamma2", "--gamma3")
+            positions = [helps[command].index(f"{flag} {flag[2:].upper()} ", helps[command].index("options:"))
+                         for flag in flags]
+            assert positions == sorted(positions), command
+        assert "--gamma3 GAMMA3 scheme-I decay of the top level" in helps["recipe"]
+        # a sweep flag replaces the config's rate whatever its scheme
+        assert "scheme-I" not in helps["sweep"]
+        for rate in ("gamma2", "gamma3"):
+            assert f"replacing the config's {rate} in every scheme" in helps["sweep"]
+
 
 # numpy refuses an axis of this many samples at once; never test with a count that allocates (1e9 is 8 GB)
 HUGE_SAMPLES = str(10 ** 15)
@@ -405,6 +423,28 @@ def test_huge_samples_is_one_line_error(route, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("gpdiag: out of memory: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["recipe", "sweep"])
+def test_recipe_and_sweep_print_one_report(command, tmp_path, capsys):
+    config = tmp_path / "gap.ini"
+    config.write_text(GAP_SWEEP)
+    runs = {"recipe": (["recipe", "fig2", "--samples", "5"],
+                       lambda out: gpdiag.recipes.run_recipe("fig2", out, samples=5, jobs=1)),
+            "sweep": (["sweep", "--config", str(config)],
+                      lambda out: gpdiag.sweep.run_sweep(gpdiag.sweep.parse_config(GAP_SWEEP), out, jobs=1))}
+    argv, run = runs[command]
+    out = tmp_path / "out"
+    result = run(out)
+    assert run_cli([*argv, "--out", str(out), "--jobs", "1"]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout.splitlines() == [str(p) for p in result.files]
+    rows = [line.split(",") for p in result.files if p.suffix == ".csv" for line in p.read_text().splitlines()[1:]]
+    undefined = sum("" in row for row in rows)
+    assert stderr == f"undefined points: {undefined}\n"
+    assert result.undefined_points == undefined
+    other = "sweep" if command == "recipe" else "recipe"
+    assert type(result) is type(runs[other][1](tmp_path / other))
 
 
 class TestRecipeCommand:

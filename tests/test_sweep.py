@@ -169,14 +169,14 @@ def test_total_failure_creates_no_directory(tmp_path):
 
 class TestRunSweep:
     def test_grid_shape(self, tmp_path):
-        path, undefined = run_sweep(spec_2d(), tmp_path)
+        [path], undefined = run_sweep(spec_2d(), tmp_path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "delta1,omega1,purity"
         assert len(lines) == 1 + 3 * 2
         assert undefined == 0
 
     def test_row_order_axis1_major(self, tmp_path):
-        path, _ = run_sweep(spec_2d(), tmp_path)
+        [path], _ = run_sweep(spec_2d(), tmp_path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         d1 = [float(r[0]) for r in rows]
         o1 = [float(r[1]) for r in rows]
@@ -185,14 +185,14 @@ class TestRunSweep:
 
     def test_determinism(self, tmp_path):
         spec = spec_2d(outputs="eigenvalues, purity, concurrence")
-        path1, _ = run_sweep(spec, tmp_path / "a")
-        path2, _ = run_sweep(spec, tmp_path / "b")
+        [path1], _ = run_sweep(spec, tmp_path / "a")
+        [path2], _ = run_sweep(spec, tmp_path / "b")
         assert path1.read_bytes() == path2.read_bytes()
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
         spec = spec_2d(outputs="gamma_g, purity", samples=5)
-        path1, _ = run_sweep(spec, tmp_path / "a", jobs=1)
-        path2, _ = run_sweep(spec, tmp_path / "b", jobs=3)
+        [path1], _ = run_sweep(spec, tmp_path / "a", jobs=1)
+        [path2], _ = run_sweep(spec, tmp_path / "b", jobs=3)
         assert path1.read_bytes() == path2.read_bytes()
 
     def test_matches_fig5_recipe_column(self, tmp_path):
@@ -210,7 +210,7 @@ start = -3
 stop = 3
 samples = 61
 """)
-        sweep_path, _ = run_sweep(spec, tmp_path)
+        [sweep_path], _ = run_sweep(spec, tmp_path)
         recipe = run_recipe("fig5", tmp_path, samples=61, jobs=1)
         fig5a = next(p for p in recipe.files if p.name == "fig5_ab.csv")
         sweep_rows = [line.split(",") for line in sweep_path.read_text().splitlines()[1:]]
@@ -259,7 +259,7 @@ def _field_oracle(value: float) -> str:
 
 
 def _csv_oracle(header, axis1_values, axis2_values, table) -> bytes:
-    """CSV bytes of a grid_rows table as rows of Python floats were once joined field by field."""
+    """CSV bytes of a stacked table as rows of Python floats were once joined field by field."""
     rows = [[float(v1)] + ([] if v2 is None else [float(v2)]) + fields
             for v1, line in zip(axis1_values, table.tolist()) for v2, fields in zip(axis2_values, line)]
     lines = [",".join(header)] + [",".join(_field_oracle(v) for v in row) for row in rows]

@@ -35,7 +35,7 @@ samples = 3
 
 
 def test_gap_sweep_matches_reference(tmp_path):
-    path, undefined = run_sweep(parse_config(CONFIG), tmp_path, jobs=1)
+    [path], undefined = run_sweep(parse_config(CONFIG), tmp_path, jobs=1)
     assert undefined == 15
     out, ref = read_rows(path), read_rows(REFERENCE)
     assert out[0] == ref[0]
