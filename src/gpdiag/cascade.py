@@ -93,37 +93,33 @@ def _generator_table() -> np.ndarray:
 
 
 _GENERATORS = _generator_table()
-# every row of |_GENERATORS| sums to at most 2, so no generator entry overflows while each |theta_k| is below this
-_THETA_SAFE = float(np.finfo(float).max) / 4.0
 
 
 def liouvillian(p: SystemParams) -> np.ndarray:
-    """Real 9x9 generator in the coordinates of linops.hermitian_basis(3).
+    """Real 9x9 generator in the coordinates of linops.hermitian_basis(3), divided by 2^k.
 
-    With T that basis, T @ L @ T^dag is the superoperator of lindblad_rhs on
-    the row-major vec, and has the singular values of L.  Raises
-    NoSteadyStateError when an entry overflows (parameters near the float limit).
+    k is the binary exponent of max |theta_k| (math.frexp), so no entry
+    overflows, and a positive factor changes neither the null space nor the
+    ratios of the singular values.  The scaling is exact except for a
+    coefficient that it makes subnormal.  With T that basis, 2^k T @ L @ T^dag
+    is the superoperator of lindblad_rhs on the row-major vec.
     """
     d12 = p.delta1 + p.delta2
-    theta = np.array([p.omega1, p.omega2, p.delta1, d12, p.gamma2, p.gamma3])
-    # drives and rates are >= 0; each bound is compared on its own, since numpy scalars warn when a sum overflows
-    s = _THETA_SAFE
-    if p.omega1 < s and p.omega2 < s and p.gamma2 < s and p.gamma3 < s and -s < p.delta1 < s and -s < d12 < s:
-        return (_GENERATORS @ theta).reshape(9, 9)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ell = (_GENERATORS @ theta).reshape(9, 9)
-    if not np.isfinite(ell).all():
-        raise NoSteadyStateError("Liouvillian overflowed: a generator entry exceeds the float range")
-    return ell
+    shift = -math.frexp(max(p.omega1, p.omega2, abs(p.delta1), abs(d12), p.gamma2, p.gamma3))[1]
+    # ldexp per coefficient: the factor 2^-k alone overflows when max |theta_k| is subnormal
+    theta = np.array([math.ldexp(p.omega1, shift), math.ldexp(p.omega2, shift), math.ldexp(p.delta1, shift),
+                      math.ldexp(d12, shift), math.ldexp(p.gamma2, shift), math.ldexp(p.gamma3, shift)])
+    return (_GENERATORS @ theta).reshape(9, 9)
 
 
 def steady_state(p: SystemParams) -> np.ndarray:
     """Unique fixed point of the master equation, as a 3x3 atomic density matrix.
 
-    Solved exactly from the null space of the real Liouvillian.  Raises
-    NoSteadyStateError when the generator overflows, when the null space is
-    not one-dimensional or its vector traceless (from linops), and when the
-    null vector is not positive semidefinite.
+    Solved exactly from the null space of the real Liouvillian, which
+    liouvillian() scales by a power of two, so the state depends only on the
+    direction of theta.  Raises NoSteadyStateError when the null space is not
+    one-dimensional or its vector traceless (from linops), and when the null
+    vector is not positive semidefinite.
     """
     rho = null_space_unit_trace(liouvillian(p))
     low = float(np.linalg.eigvalsh(rho)[0])  # eigvalsh ascends

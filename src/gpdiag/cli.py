@@ -58,8 +58,10 @@ def _build_parser() -> _Parser:
 
     recipe = sub.add_parser("recipe", help="run a frozen figure recipe")
     recipe.add_argument("id", choices=RECIPE_IDS)
-    _add_common(recipe, {"default": 601, "help": "samples per axis (default 601)"}, {"default": DEFAULT_GAMMA2},
-                {"default": DEFAULT_GAMMA3_REAL, "help": "scheme-I decay of the top level"})
+    _add_common(recipe, {"default": 601, "help": "samples per axis (default 601)"},
+                {"default": DEFAULT_GAMMA2, "help": f"decay of the middle level (default {DEFAULT_GAMMA2:g})"},
+                {"default": DEFAULT_GAMMA3_REAL,
+                 "help": f"scheme-I decay of the top level (default {DEFAULT_GAMMA3_REAL:g})"})
 
     sweep = sub.add_parser("sweep", help="run a sweep described by a config file")
     sweep.add_argument("--config", required=True, help="path to the sweep configuration")

@@ -1,11 +1,13 @@
 """The generator in its complex kron form and the complex-SVD null-space solve: the tests' oracle of the kernel.
 
 `cascade.liouvillian` is a real 9x9 matrix in the coordinates of
-`linops.hermitian_basis(3)`, read off `lindblad_rhs`.  This module assembles
-the same generator independently, as kron products acting on the row-major
-vec (vec(rho)[3*i + j] = rho[i, j]), and solves its null space with one
-complex SVD under the same rank, trace and positivity tests as the pipeline.
-It also keeps the complex-product form of the pipeline's state assembly.
+`linops.hermitian_basis(3)`, read off `lindblad_rhs` and divided by a power
+of two.  This module assembles the same generator independently, as kron
+products acting on the row-major vec (vec(rho)[3*i + j] = rho[i, j]), finds
+that power of two on its own (`unit_scaled`), and solves the null space with
+one complex SVD under the same rank, trace and positivity tests as the
+pipeline.  It also keeps the complex-product form of the pipeline's state
+assembly.
 """
 
 import math
@@ -55,6 +57,18 @@ def _dissipator(c):
 
 _D21 = _dissipator(np.outer(_I3[0], _I3[1]))
 _D32 = _dissipator(np.outer(_I3[1], _I3[2]))
+
+
+def unit_scaled(p: SystemParams) -> SystemParams:
+    """p with its six coefficients times 2^-k, k the binary exponent (math.frexp) of max |theta_k| over
+    theta = (omega1, omega2, delta1, delta1 + delta2, gamma2, gamma3).
+
+    The generator is linear in theta, so kron_liouvillian(unit_scaled(p)) is the kron form scaled as
+    cascade.liouvillian scales it, to the rounding of a coefficient that the scaling makes subnormal.
+    """
+    coefficients = (p.omega1, p.omega2, p.delta1, p.delta2, p.gamma2, p.gamma3)
+    _, k = math.frexp(max(abs(v) for v in coefficients + (p.delta1 + p.delta2,)))
+    return SystemParams(*(math.ldexp(v, -k) for v in coefficients))
 
 
 def kron_liouvillian(p: SystemParams) -> np.ndarray:

@@ -3,16 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ideal_oracle as oracle
 from conftest import random_density, random_params
-from gpdiag.cascade import (_GENERATORS, _THETA_SAFE, DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL,
-                            SystemParams, build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
+from gpdiag.cascade import (DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams,
+                            build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import concurrence, purity
-from kron_oracle import coordinates, kron_liouvillian, kron_steady_state, lift, unvec, vec
+from kron_oracle import coordinates, kron_liouvillian, kron_steady_state, lift, unit_scaled, unvec, vec
 from rk4_oracle import _max_stable_dt, _rk4_step_matrix, evolve
 
 
@@ -96,7 +96,7 @@ class TestLiouvillian:
         for _ in range(20):
             p = random_params(rng, scheme="I" if rng.uniform() < 0.5 else "II")
             rho = random_density(rng, 3)
-            direct = lindblad_rhs(p, rho)
+            direct = lindblad_rhs(unit_scaled(p), rho)
             via_super = (lift(liouvillian(p)) @ vec(rho)).reshape(3, 3)
             assert np.max(np.abs(direct - via_super)) <= 1e-12
 
@@ -110,23 +110,20 @@ class TestLiouvillian:
         row = coordinates(np.eye(3)) @ ell
         assert np.max(np.abs(row)) <= 1e-12
 
-    @pytest.mark.parametrize("p", [SystemParams(1.7e308, 1.7e308), SystemParams(1.7e308, 0.0),
-                                   SystemParams(0.0, 1.7e308, delta1=1.7e308, delta2=-1.7e308)], ids=repr)
-    def test_overflowing_generator_is_no_steady_state(self, p):
-        # the suite turns a RuntimeWarning into an error, so this also checks that the overflow warns nothing
-        for solve in (liouvillian, steady_state):
-            with pytest.raises(NoSteadyStateError) as err:
-                solve(p)
-            assert type(err.value) is NoSteadyStateError
-            assert str(err.value) == "Liouvillian overflowed: a generator entry exceeds the float range"
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_no_overflow_below_the_guard(self, sign):
-        # the guard on max |theta_k| assumes every row of the generator table has an absolute sum of at most 2
-        assert np.abs(_GENERATORS).sum(axis=1).max() <= 2.0 + 1e-15
-        below = float(np.nextafter(_THETA_SAFE, 0.0))
-        ell = liouvillian(SystemParams(below, below, sign * below, 0.0, below, below))
-        assert np.isfinite(ell).all()
+    @pytest.mark.parametrize("p, largest, smallest", [pytest.param(p, *s, id=repr(p)) for p, s in [
+        (SystemParams(1.7e308, 1.7e308), ("2.675e+00", "1.620e-309")),
+        (SystemParams(1.7e308, 0.0), ("1.891e+00", "5.563e-309")),
+        (SystemParams(0.0, 1.7e308, delta1=1.7e308, delta2=-1.7e308), ("2.115e+00", "0.000e+00")),
+    ]])
+    def test_overflowing_generator_is_no_steady_state(self, p, largest, smallest):
+        # the scaled generator is finite, and beside drives at the float limit the decay rates fall below the
+        # rank threshold; the suite turns a RuntimeWarning into an error, so this also checks that nothing warns
+        assert np.isfinite(liouvillian(p)).all()
+        with pytest.raises(NoSteadyStateError) as err:
+            steady_state(p)
+        assert type(err.value) is NoSteadyStateError
+        assert str(err.value) == (f"null space has dimension 3 (singular values <= 1e-09 x largest {largest}, "
+                                  f"smallest {smallest})")
 
 
 def _edge_or(lo, hi):
@@ -143,17 +140,19 @@ _box_params = st.builds(SystemParams, omega1=_edge_or(0.0, 6.0), omega2=_edge_or
 @given(p=_box_params, seed=st.integers(0, 2**32 - 1), dt_fraction=st.floats(0.01, 1.0))
 def test_generator_on_parameter_box(p, seed, dt_fraction):
     """liouvillian() against the matrix-form oracle, and the RK4 step of the kron form against it,
-    over the box including undriven points and vanishing decay rates."""
+    over the box including undriven points and vanishing decay rates; both oracles run at the parameters
+    that unit_scaled divides by the generator's power of two."""
+    q = unit_scaled(p)
     ell = lift(liouvillian(p))
     rho = random_density(np.random.default_rng(seed), 3)
-    scale = max(1.0, p.omega1, p.omega2, abs(p.delta1), abs(p.delta2), p.gamma2, p.gamma3)
-    assert np.max(np.abs(unvec(ell @ vec(rho), 3) - lindblad_rhs(p, rho))) <= 1e-12 * scale
+    scale = max(1.0, q.omega1, q.omega2, abs(q.delta1), abs(q.delta2), q.gamma2, q.gamma3)
+    assert np.max(np.abs(unvec(ell @ vec(rho), 3) - lindblad_rhs(q, rho))) <= 1e-12 * scale
     assert np.max(np.abs(coordinates(np.eye(3)) @ liouvillian(p))) <= 1e-12 * scale
 
-    dt = dt_fraction * _max_stable_dt(p)
+    dt = dt_fraction * _max_stable_dt(q)
     a = dt * ell
     taylor = np.eye(9) + a + a @ a / 2 + a @ a @ a / 6 + a @ a @ a @ a / 24
-    assert np.max(np.abs(_rk4_step_matrix(p, dt) - taylor)) <= 1e-12
+    assert np.max(np.abs(_rk4_step_matrix(q, dt) - taylor)) <= 1e-12
 
 
 _EDGE_POINTS = [
@@ -172,9 +171,10 @@ _EDGE_POINTS = [
 
 
 def _check_against_kron_form(p):
-    """T L T^dag is the kron form, and the real generator has its singular values (inf where both overflow)."""
-    ell, kron = liouvillian(p), kron_liouvillian(p)
-    scale = max(1.0, p.omega1, p.omega2, abs(p.delta1), abs(p.delta2), p.gamma2, p.gamma3)
+    """T L T^dag is the kron form at the same power-of-two scale, and the real generator has its singular values."""
+    q = unit_scaled(p)
+    ell, kron = liouvillian(p), kron_liouvillian(q)
+    scale = max(1.0, q.omega1, q.omega2, abs(q.delta1), abs(q.delta2), q.gamma2, q.gamma3)
     assert ell.dtype == np.float64
     assert np.max(np.abs(lift(ell) - kron)) <= 4e-15 * scale
     np.testing.assert_allclose(np.linalg.svd(ell, compute_uv=False), np.linalg.svd(kron, compute_uv=False),
@@ -228,6 +228,23 @@ def test_steady_state_matches_kron_oracle_on_parameter_box(p):
     assert not isinstance(got, type), f"{got.__name__} where the complex solve finds a steady state"
     s = np.linalg.svd(kron_liouvillian(p), compute_uv=False)
     assert np.max(np.abs(got - expected)) <= 64 * np.finfo(float).eps * s[0] / s[-2]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(p=_box_params, j=st.sampled_from([-1000, -40, 1, 40, 1000]))
+def test_steady_state_is_scale_free(p, j):
+    """Multiplying the six coefficients by 2^j scales the generator exactly, so wherever no scaled coefficient
+    is subnormal (or rounds to 0) the steady state is bitwise the same, or both points have none."""
+    coefficients = (p.omega1, p.omega2, p.delta1, p.delta2, p.gamma2, p.gamma3)
+    q = SystemParams(*(math.ldexp(v, j) for v in coefficients))
+    assume(all(v == 0.0 or abs(math.ldexp(v, j)) >= np.finfo(float).tiny
+               for v in coefficients + (p.delta1 + p.delta2,)))
+    got, expected = _outcome(steady_state, q), _outcome(steady_state, p)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    assert not isinstance(got, type), f"{got.__name__} where the unscaled point has a steady state"
+    assert got.tobytes() == expected.tobytes()
 
 
 # rho -> U rho* U with U = diag(1, -1, 1) flips the sign of these hermitian_basis(3) coordinates:

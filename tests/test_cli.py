@@ -65,17 +65,18 @@ class TestSteady:
         assert capsys.readouterr().err == "gpdiag steady: error: delta1 + delta2 must be finite, got 1e+308 + 1e+308\n"
 
     def test_overflowing_drive_is_numerical_failure(self, capsys):
+        # the scaled generator does not overflow; beside these drives the decay rates fall below the rank threshold
         code = run_cli(["steady", "--omega1", "1e308", "--omega2", "1e308"])
-        err = capsys.readouterr().err
         assert code == 2
-        assert "overflowed" in err and "dimension" not in err
+        assert capsys.readouterr().err == ("gpdiag: numerical failure: null space has dimension 3 "
+                                           "(singular values <= 1e-09 x largest 1.573e+00, smallest 3.157e-310)\n")
 
     def test_drive_at_float_limit_is_numerical_failure(self, capsys):
-        # the generator overflows; the suite turns any RuntimeWarning into an error, so none is printed either
+        # the suite turns any RuntimeWarning into an error, so none is printed either
         code = run_cli(["steady", "--omega1", "1.7e308", "--omega2", "1.7e308"])
         assert code == 2
-        assert capsys.readouterr().err == ("gpdiag: numerical failure: "
-                                           "Liouvillian overflowed: a generator entry exceeds the float range\n")
+        assert capsys.readouterr().err == ("gpdiag: numerical failure: null space has dimension 3 "
+                                           "(singular values <= 1e-09 x largest 2.675e+00, smallest 1.620e-309)\n")
 
     def test_non_positive_null_vector_is_numerical_failure(self, capsys):
         # at drives of 3e8 the scheme-II null vector has an eigenvalue below -1e-10 (about -7.5e-9)
@@ -405,6 +406,12 @@ samples = 9
         for rate in ("gamma2", "gamma3"):
             assert f"replacing the config's {rate} in every scheme" in helps["sweep"]
 
+    def test_recipe_rate_help_names_each_default(self, capsys):
+        assert run_cli(["recipe", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--gamma2 GAMMA2 decay of the middle level (default 6) " in text
+        assert "--gamma3 GAMMA3 scheme-I decay of the top level (default 1)" in text
+
 
 # numpy refuses an axis of this many samples at once; never test with a count that allocates (1e9 is 8 GB)
 HUGE_SAMPLES = str(10 ** 15)
@@ -509,8 +516,8 @@ class TestRecipeCommand:
 
     @pytest.mark.parametrize("gamma2", ["1e155", "1e308"])
     def test_fig4_overflowing_closed_form_is_numerical_failure(self, gamma2, tmp_path, capsys):
-        # the closed form's gamma21^2 overflows to NaN phases and the numeric
-        # steady states overflow, so every surface is a gap
+        # the closed form's gamma21^2 overflows to NaN phases and beside gamma2 the
+        # drives fall below the numeric solve's rank threshold, so every surface is a gap
         code = run_cli(["recipe", "fig4", "--out", str(tmp_path / "out"), "--samples", "3",
                         "--jobs", "1", "--gamma2", gamma2])
         assert code == 2

@@ -93,7 +93,7 @@ def test_null_space_undriven_scheme_ii_degenerate():
 def test_overflowing_decomposition_is_no_steady_state():
     # finite entries whose singular values overflow to inf; every s <= RANK_EPS * inf
     # would otherwise count as zero and report a 9-dimensional null space
-    ell = liouvillian(SystemParams(1e308, 1e308))
+    ell = np.full((9, 9), 1e308)
     assert np.all(np.isfinite(ell))
     with pytest.raises(NoSteadyStateError, match="overflowed"):
         null_space_unit_trace(ell)
@@ -122,14 +122,14 @@ def _only_off_diagonal_null_coordinate():
 
 # every failure branch of null_space_unit_trace: input, exact exception class, exact message
 _FAILURES = {
-    "overflow": (lambda: liouvillian(SystemParams(1e308, 1e308)), NoSteadyStateError,
+    "overflow": (lambda: np.full((9, 9), 1e308), NoSteadyStateError,
                  "singular value decomposition overflowed: largest singular value inf"),
     "dimension 0": (lambda: np.eye(9), NoSteadyStateError,
                     "null space has dimension 0 (singular values <= 1e-09 x largest 1.000e+00, smallest 1.000e+00)"),
     "dimension 3": (lambda: np.diag([0.0] * 3 + [1.0] * 6), NoSteadyStateError,
                     "null space has dimension 3 (singular values <= 1e-09 x largest 1.000e+00, smallest 0.000e+00)"),
     "dimension 4": (lambda: liouvillian(SystemParams(0.0, 0.0, gamma2=6.0, gamma3=0.0)), NoSteadyStateError,
-                    "null space has dimension 4 (singular values <= 1e-09 x largest 8.485e+00, smallest 0.000e+00)"),
+                    "null space has dimension 4 (singular values <= 1e-09 x largest 1.061e+00, smallest 0.000e+00)"),
     "traceless": (_only_off_diagonal_null_coordinate, NoSteadyStateError, "null vector is traceless (|tr| = 0.000e+00)"),
     "shape 1x1": (lambda: np.ones((1, 1)), ContractViolationError, "expected the 9x9 real generator, got shape (1, 1)"),
     "shape 2x2": (lambda: np.zeros((2, 2)), ContractViolationError, "expected the 9x9 real generator, got shape (2, 2)"),
