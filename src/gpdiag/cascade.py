@@ -74,8 +74,6 @@ def lindblad_rhs(p: SystemParams, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     out = -1j * (h @ rho - rho @ h)
     for rate, c in ((p.gamma2, _LOWER_21), (p.gamma3, _LOWER_32)):
-        if rate == 0.0:
-            continue
         cdc = c.conj().T @ c
         out += rate * (c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc))
     return out

@@ -108,11 +108,9 @@ def null_space_unit_trace(ell) -> np.ndarray:
     cut = RANK_EPS * s[0]
     if not (s[-1] <= cut and s[-2] > cut):
         raise NoSteadyStateError(f"null space has dimension {np.count_nonzero(s <= cut)} (singular values <= "
-                                 f"{RANK_EPS:g} x largest {s[0]:.3e}, smallest {s[-1]:.3e})")
+                                 f"{RANK_EPS:g} x largest {abs(s[0]):.3e}, smallest {abs(s[-1]):.3e})")
     x = vh[-1]
-    tr = 0.0  # the diagonal summed left to right, as numpy sums < 8 terms; builtin sum compensates from Python 3.12
-    for v in x[:3].tolist():
-        tr += v
+    tr = x[0] + x[1] + x[2]
     if abs(tr) < 1e-6:
         raise NoSteadyStateError(f"null vector is traceless (|tr| = {abs(tr):.3e})")
     # a real combination of the Hermitian basis is Hermitian exactly: entries (i, j) and (j, i) are conjugates

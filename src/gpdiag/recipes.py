@@ -107,7 +107,7 @@ def _fig4_ideal_column(x0, dx, omega2, gamma2, deltas):
 
 def _fig4_numeric_column(reference, x, omega2, gamma2, gamma3, deltas):
     gammas = np.full(len(deltas), np.nan)
-    if reference is None or x < 0.0 or x >= math.pi / 2.0 - 1e-12:
+    if reference is None or x < 0.0:
         return gammas[:, None]
     o1 = math.tan(x) * omega2
     w = math.hypot(o1, omega2)

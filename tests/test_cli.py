@@ -78,6 +78,13 @@ class TestSteady:
         assert capsys.readouterr().err == ("gpdiag: numerical failure: null space has dimension 3 "
                                            "(singular values <= 1e-09 x largest 2.675e+00, smallest 1.620e-309)\n")
 
+    def test_rank_message_prints_no_negative_zero(self, capsys):
+        # LAPACK returns the smallest singular value as -0.0 here; the message prints magnitudes
+        code = run_cli(["steady", "--omega1", "5e-324", "--omega2", "1e-323", "--gamma2", "0", "--gamma3", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == ("gpdiag: numerical failure: null space has dimension 3 "
+                                           "(singular values <= 1e-09 x largest 1.118e+00, smallest 0.000e+00)\n")
+
     def test_non_positive_null_vector_is_numerical_failure(self, capsys):
         # at drives of 3e8 the scheme-II null vector has an eigenvalue below -1e-10 (about -7.5e-9)
         code = run_cli(["steady", "--omega1", "3e8", "--omega2", "3e8", "--scheme", "II"])
