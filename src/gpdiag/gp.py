@@ -9,8 +9,8 @@ the gauge-invariant discretization
 Per-sample phase redefinitions phi_k(j) -> e^{i a_j} phi_k(j) telescope out of
 z_k exactly, so no gauge fixing of the eigenvectors is needed.  The phase is
 undefined (Pancharatnam singularity) when the weighted overlap sum loses all
-visibility.  The pipeline's functions return an undefined phase as NaN, an
-empty CSV field; only mixed_state_gp raises UndefinedPhaseError.
+visibility; every function here returns an undefined phase as NaN, an empty
+CSV field.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ GAUGE_TOL = 1e-8
 _AMBIGUITY_TOL = 1e-6
 
 SWEEPABLE = ("delta1", "delta2", "omega1", "omega2")
-
-
-class UndefinedPhaseError(RuntimeError):
-    """Visibility fell below threshold; the phase has no defined value."""
 
 
 @dataclass(frozen=True)
@@ -192,20 +188,14 @@ def _prefix_terms(traj: SpectralTrajectory) -> np.ndarray:
     return np.concatenate([lam[:1], weights * z])
 
 
-def mixed_state_gp(traj: SpectralTrajectory) -> float:
-    """Geometric phase gamma_g of the full trajectory.
+def _phase_or_nan(z):
+    """Arg z, or NaN where the modulus (hypot, which rounds as the scalar abs does) is at most EPS_VIS."""
+    return np.where(np.hypot(z.real, z.imag) > EPS_VIS, np.angle(z), np.nan)
 
-    Raises UndefinedPhaseError when no branch carries weight or the weighted
-    overlap sum has modulus below EPS_VIS.
-    """
-    if not traj.kept_branches:
-        raise UndefinedPhaseError("no branch carries weight at both endpoints")
-    total = sum(_prefix_terms(traj)[-1])
-    if abs(total) <= EPS_VIS:
-        raise UndefinedPhaseError(
-            f"visibility {abs(total):.3e} below {EPS_VIS:g} (Pancharatnam singularity)"
-        )
-    return float(np.angle(total))
+
+def mixed_state_gp(traj: SpectralTrajectory) -> float:
+    """Geometric phase gamma_g of the full trajectory; NaN with no kept branch or a visibility at most EPS_VIS."""
+    return float(_phase_or_nan(np.complex128(sum(_prefix_terms(traj)[-1]))))
 
 
 def fix_global_phase(psi: np.ndarray) -> np.ndarray:
@@ -227,13 +217,13 @@ def two_point_phases(reference, states) -> np.ndarray:
     psi is the dominant eigenvector (largest eigenvalue) in the |00> gauge of
     fix_global_phase.  One stacked hermitian_eig decomposes [reference,
     *states], so each entry is what its state gives alone.  An entry is NaN
-    where |<psi_ref|psi_j>| is below EPS_VIS.
+    where |<psi_ref|psi_j>| is at most EPS_VIS.
     """
     rhos = np.concatenate([np.asarray(reference, dtype=complex)[None], np.asarray(states, dtype=complex)])
     psi = fix_global_phase(hermitian_eig(rhos).eigenvectors[..., -1])
     # (1, n) @ (n, 1) matmuls are np.vdot's sum, bitwise
     overlaps = (psi[0].conj()[None, None, :] @ psi[1:, :, None])[:, 0, 0]
-    return np.where(np.hypot(overlaps.real, overlaps.imag) < EPS_VIS, np.nan, np.angle(overlaps))
+    return _phase_or_nan(overlaps)
 
 
 def unwrap_phases(values) -> np.ndarray:
@@ -256,7 +246,7 @@ def gp_curve_from_states(states) -> np.ndarray:
     """
     terms = _prefix_terms(track_spectrum(states)) if len(states) >= 2 else np.zeros((len(states), 0))
     totals = sum(terms.T, np.zeros(len(terms)))
-    return unwrap_phases(np.where(np.abs(totals) > EPS_VIS, np.angle(totals), np.nan))
+    return unwrap_phases(_phase_or_nan(totals))
 
 
 def gp_derivative(gammas, h) -> np.ndarray:

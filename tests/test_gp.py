@@ -13,7 +13,7 @@ from gpdiag.gp import (
     SWEEPABLE,
     PathSpec,
     SpectralTrajectory,
-    UndefinedPhaseError,
+    _phase_or_nan,
     _prefix_terms,
     fix_global_phase,
     gp_curve_from_states,
@@ -181,8 +181,7 @@ class TestMixedStateGp:
         for t in np.linspace(0.0, math.pi / 2.0, 11):
             psi = math.cos(t) * e0 + math.sin(t) * e1
             states.append(np.outer(psi, psi.conj()))
-        with pytest.raises(UndefinedPhaseError, match="Pancharatnam singularity"):
-            mixed_state_gp(track_spectrum(states))
+        assert np.isnan(mixed_state_gp(track_spectrum(states)))
         curve = gp_curve_from_states(states)
         assert np.isnan(curve[-1]) and np.isfinite(curve[:-1]).all()
 
@@ -190,9 +189,29 @@ class TestMixedStateGp:
         # the weight moves entirely from e0 to e1, so no branch has it at both ends
         states = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
         assert track_spectrum(states).kept_branches == ()
-        with pytest.raises(UndefinedPhaseError, match="no branch carries weight"):
-            mixed_state_gp(track_spectrum(states))
+        assert np.isnan(mixed_state_gp(track_spectrum(states)))
         assert np.isnan(gp_curve_from_states(states)).all()
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 0.0])
+def test_one_visibility_rule(eps):
+    # a quarter great arc ending eps short of orthogonal: the overlap of its ends is sin(eps), and the three
+    # functions drop the phase at the same eps and give 0 elsewhere
+    states = []
+    for t in np.linspace(0.0, math.pi / 2.0 - eps, 11):
+        psi = np.array([math.cos(t), math.sin(t), 0.0], dtype=complex)
+        states.append(np.outer(psi, psi.conj()))
+    phases = [mixed_state_gp(track_spectrum(states)), gp_curve_from_states(states)[-1],
+              two_point_phases(states[0], states[-1:])[0]]
+    if math.sin(eps) <= EPS_VIS:
+        assert np.isnan(phases).all()
+    else:
+        assert np.abs(phases).max() <= 1e-15
+
+
+def test_visibility_at_eps_vis_is_undefined():
+    phases = _phase_or_nan(np.array([EPS_VIS, np.nextafter(EPS_VIS, 1.0)], dtype=complex))
+    assert np.isnan(phases[0]) and phases[1] == 0.0
 
 
 def mixed_with(psi, weight=0.7):
