@@ -114,7 +114,7 @@ def _cmd_recipe(args) -> int:
 def _cmd_sweep(args) -> int:
     config_path = Path(args.config)
     try:
-        data = config_path.read_bytes()
+        data = config_path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark, as utf-8-sig
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # universal newlines, as read_text
     except OSError as err:
         raise ConfigError(f"cannot read config {config_path}: {err}") from err

@@ -22,10 +22,6 @@ HERMITICITY_TOL = 1e-12
 RANK_EPS = 1e-9
 
 
-class ContractViolationError(ValueError):
-    """An input broke a documented precondition (e.g. non-Hermitian matrix)."""
-
-
 class NoSteadyStateError(RuntimeError):
     """No physical steady state: no usable null vector, or one that is not positive semidefinite."""
 
@@ -40,20 +36,21 @@ class EigenSystem(NamedTuple):
 def hermitian_eig(a) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix or of an (..., n, n) stack of them.
 
-    Raises ContractViolationError if max |A - A^dag| over the stack exceeds
-    HERMITICITY_TOL.  Output is deterministic for identical input (LAPACK
-    zheevd order: ascending eigenvalues, orthonormal columns), and each
-    member of a stack decomposes exactly as it does alone.
+    Raises ValueError if max |A - A^dag| over the stack exceeds
+    HERMITICITY_TOL; an empty (0, n, n) stack decomposes, as in eigh.  Output
+    is deterministic for identical input (LAPACK zheevd order: ascending
+    eigenvalues, orthonormal columns), and each member of a stack decomposes
+    exactly as it does alone.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ContractViolationError(f"expected a square matrix, got shape {a.shape}")
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ContractViolationError("matrix has non-finite entries")
+        raise ValueError("matrix has non-finite entries")
     a_dag = a.conj().swapaxes(-1, -2)
-    dev = np.max(np.abs(a - a_dag))
+    dev = np.max(np.abs(a - a_dag), initial=0.0)
     if dev > HERMITICITY_TOL:
-        raise ContractViolationError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
+        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
     w, v = np.linalg.eigh(0.5 * (a + a_dag))
     return EigenSystem(w, v)
 
@@ -87,20 +84,20 @@ def null_space_unit_trace(ell) -> np.ndarray:
     """Unique null vector of the real 9x9 generator, returned as a unit-trace Hermitian 3x3 matrix.
 
     `ell` acts on the coordinates of `hermitian_basis(3)` of a 3x3 Hermitian
-    matrix; any other shape raises ContractViolationError.  Singular values
-    below RANK_EPS times the largest one count as zero.  Exactly one zero
-    singular value is required; any other count, an overflowed decomposition
-    or a traceless null vector raises NoSteadyStateError.
+    matrix; any other shape raises ValueError.  Singular values below
+    RANK_EPS times the largest one count as zero.  Exactly one zero singular
+    value is required; any other count, an overflowed decomposition or a
+    traceless null vector raises NoSteadyStateError.
     """
     ell = np.asarray(ell)
     if ell.shape != (9, 9):
-        raise ContractViolationError(f"expected the 9x9 real generator, got shape {ell.shape}")
+        raise ValueError(f"expected the 9x9 real generator, got shape {ell.shape}")
     if ell.dtype.kind == "c":
-        raise ContractViolationError(f"expected a real matrix, got dtype {ell.dtype}")
+        raise ValueError(f"expected a real matrix, got dtype {ell.dtype}")
     # svd may not return on an infinite entry, so non-finite entries are caught first: the sum of squares is
     # finite when every entry is finite and below about 1e154, and the entrywise check runs only when it is not
     if not math.isfinite(np.vdot(ell, ell)) and not np.isfinite(ell).all():
-        raise ContractViolationError("matrix has non-finite entries")
+        raise ValueError("matrix has non-finite entries")
     _, s, vh = np.linalg.svd(ell)
     if not math.isfinite(s[0]):
         raise NoSteadyStateError(f"singular value decomposition overflowed: largest singular value {s[0]}")

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from gpdiag.linops import ContractViolationError
-
 
 def atomic_to_photon(rho: np.ndarray) -> np.ndarray:
     """Relabel the atomic basis to the photon basis, |3> -> |00|, |2> -> |01>, |1> -> |11>, of a state or a stack.
@@ -36,12 +34,12 @@ def concurrence(rho3: np.ndarray):
     """Concurrence 2 |rho_{00,11}| of a 3x3 two-photon state (atomic 2 |rho_13|) or an (..., 3, 3) stack.
 
     With the |10> level empty, the spin-flip (Wootters) concurrence reduces
-    exactly to this.  Any other trailing shape raises ContractViolationError.
+    exactly to this.  Any other trailing shape raises ValueError.
     hypot rounds as the scalar abs does; np.abs on an array can differ by one ulp.
     """
     rho3 = np.asarray(rho3)
     if rho3.shape[-2:] != (3, 3):
-        raise ContractViolationError(f"expected a 3x3 two-photon state, got shape {rho3.shape}")
+        raise ValueError(f"expected a 3x3 two-photon state, got shape {rho3.shape}")
     z = rho3[..., 0, 2]
     return 2.0 * np.hypot(z.real, z.imag)
 

@@ -202,8 +202,6 @@ def _column_outputs(spec: PathSpec, outputs) -> np.ndarray:
     values = spec.values()
     states, defined = photon_states([spec.params_at(v) for v in values])
     table = np.full((len(values), sum(len(_FIELDS[out]) for out in outputs)), np.nan)
-    if not defined:
-        return table
     gammas = np.full(len(values), np.nan)
     if "gamma_g" in outputs or "dgamma" in outputs:
         gammas[defined] = gp_curve_from_states(states)

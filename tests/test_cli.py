@@ -221,7 +221,8 @@ samples = 5
         ((SWEEP_1D + "\n[axis1]\nparameter = omega1\n").encode(), "line 12: repeated section [axis1]"),
         (b"; caf\xff\n" + SWEEP_1D.encode(), "line 1: byte 0xff is not valid UTF-8"),
         (SWEEP_1D.encode().replace(b"out.csv", b"caf\xe9.csv"), "line 4: byte 0xe9 is not valid UTF-8"),
-    ], ids=["repeated_key", "repeated_section", "not_utf8", "not_utf8_later_line"])
+        (b"\xef\xbb\xbf[sweep]\n\n\xff\n", "line 3: byte 0xff is not valid UTF-8"),
+    ], ids=["repeated_key", "repeated_section", "not_utf8", "not_utf8_later_line", "not_utf8_after_bom"])
     def test_unreadable_config_is_one_line(self, data, detail, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
         config.write_bytes(data)
@@ -338,6 +339,15 @@ samples = 9
                             "--jobs", "1"]) == 0
         capsys.readouterr()
         assert (tmp_path / "other" / "out.csv").read_bytes() == (tmp_path / "lf" / "out.csv").read_bytes()
+
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path, capsys):
+        bom = b"\xef\xbb\xbf"
+        for name, data in (("plain", SWEEP_1D.encode()), ("bom", bom + SWEEP_1D.encode())):
+            (tmp_path / f"{name}.ini").write_bytes(data)
+            assert run_cli(["sweep", "--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / name),
+                            "--jobs", "1"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "bom" / "out.csv").read_bytes() == (tmp_path / "plain" / "out.csv").read_bytes()
 
     def test_samples_flag_shrinks_both_axes(self, tmp_path, capsys):
         config = tmp_path / "sweep.ini"

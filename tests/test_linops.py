@@ -4,7 +4,6 @@ import pytest
 from conftest import random_density, random_hermitian
 from gpdiag.cascade import SystemParams, build_hamiltonian, liouvillian
 from gpdiag.linops import (
-    ContractViolationError,
     NoSteadyStateError,
     hermitian_basis,
     hermitian_eig,
@@ -32,12 +31,18 @@ def test_resonant_cascade_spectrum():
 
 
 def test_non_hermitian_rejected():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValueError, match="non-finite"):
         hermitian_eig(np.array([[np.inf, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValueError, match="square matrix"):
         hermitian_eig(np.ones((2, 3)))
+
+
+def test_empty_stack_decomposes():
+    # as np.linalg.eigh does: no member, so no Hermiticity deviation either
+    w, v = hermitian_eig(np.zeros((0, 3, 3)))
+    assert w.shape == (0, 3) and v.shape == (0, 3, 3)
 
 
 def test_reconstruction_random(rng):
@@ -105,11 +110,11 @@ def test_non_finite_real_or_imaginary_part_rejected(rng, bad):
     # the generator is real, so it takes the non-finite part; a Hermitian stack takes the complex entry
     ell = liouvillian(SystemParams(6.0, 6.0))
     ell[4, 2] = bad.real if bad.imag == 0.0 else bad.imag
-    with pytest.raises(ContractViolationError, match="matrix has non-finite entries"):
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
         null_space_unit_trace(ell)
     stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
     stack[2, 1, 1] = bad
-    with pytest.raises(ContractViolationError, match="matrix has non-finite entries"):
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
         hermitian_eig(stack)
 
 
@@ -131,9 +136,9 @@ _FAILURES = {
     "dimension 4": (lambda: liouvillian(SystemParams(0.0, 0.0, gamma2=6.0, gamma3=0.0)), NoSteadyStateError,
                     "null space has dimension 4 (singular values <= 1e-09 x largest 1.061e+00, smallest 0.000e+00)"),
     "traceless": (_only_off_diagonal_null_coordinate, NoSteadyStateError, "null vector is traceless (|tr| = 0.000e+00)"),
-    "shape 1x1": (lambda: np.ones((1, 1)), ContractViolationError, "expected the 9x9 real generator, got shape (1, 1)"),
-    "shape 2x2": (lambda: np.zeros((2, 2)), ContractViolationError, "expected the 9x9 real generator, got shape (2, 2)"),
-    "shape 4x4": (lambda: np.diag([0.0, 1.0, 2.0, 3.0]), ContractViolationError,
+    "shape 1x1": (lambda: np.ones((1, 1)), ValueError, "expected the 9x9 real generator, got shape (1, 1)"),
+    "shape 2x2": (lambda: np.zeros((2, 2)), ValueError, "expected the 9x9 real generator, got shape (2, 2)"),
+    "shape 4x4": (lambda: np.diag([0.0, 1.0, 2.0, 3.0]), ValueError,
                   "expected the 9x9 real generator, got shape (4, 4)"),
 }
 
@@ -156,7 +161,7 @@ def test_non_finite_entry_anywhere_rejected(bad):
         for j in range(9):
             ell = liouvillian(SystemParams(6.0, 6.0))
             ell[i, j] = bad
-            with pytest.raises(ContractViolationError) as err:
+            with pytest.raises(ValueError) as err:
                 null_space_unit_trace(ell)
             assert str(err.value) == "matrix has non-finite entries"
 
@@ -197,19 +202,19 @@ def test_stack_equals_per_matrix_calls_bitwise(rng):
 def test_stack_with_one_non_hermitian_member_rejected(rng):
     stack = np.array([random_hermitian(rng, 3) for _ in range(5)])
     stack[3, 0, 1] += 1e-9
-    with pytest.raises(ContractViolationError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eig(stack)
 
 
 def test_null_space_rejects_stack():
     ell = liouvillian(SystemParams(6.0, 6.0))
-    with pytest.raises(ContractViolationError) as err:
+    with pytest.raises(ValueError) as err:
         null_space_unit_trace(np.array([ell, ell]))
     assert str(err.value) == "expected the 9x9 real generator, got shape (2, 9, 9)"
 
 
 def test_null_space_rejects_complex_superoperator():
-    with pytest.raises(ContractViolationError) as err:
+    with pytest.raises(ValueError) as err:
         null_space_unit_trace(liouvillian(SystemParams(6.0, 6.0)).astype(complex))
     assert str(err.value) == "expected a real matrix, got dtype complex128"
 

@@ -228,6 +228,36 @@ samples = 61
         expected = np.column_stack([gammas, gp_derivative(gammas, values[1] - values[0])])
         assert np.array_equal(gpdiag.sweep._column_outputs(spec, ("gamma_g", "dgamma")), expected)
 
+    def test_all_gap_column_takes_the_common_path(self, tmp_path):
+        # undriven mode 2 in scheme II has no unique steady state, so the omega2 = 0 column is all gaps; its
+        # empty stack goes through every output, eigenvalues and dgamma included, as a column with states does
+        spec = parse_config("""\
+[sweep]
+scheme = II
+outputs = eigenvalues, purity, concurrence, gamma_g, dgamma
+path = gaps.csv
+
+[axis1]
+parameter = omega1
+start = 0
+stop = 6
+samples = 21
+
+[axis2]
+parameter = omega2
+start = 0
+stop = 1
+samples = 3
+""")
+        [path], undefined = run_sweep(spec, tmp_path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == 21 * 3
+        assert undefined == 21
+        for omega1, omega2, *fields in rows:
+            assert len(fields) == 7
+            assert all(f == "" for f in fields) == (omega2 == "0")
+            assert all(f != "" for f in fields) == (omega2 != "0")
+
     def test_photon_states_keeps_the_solvable_points(self):
         solvable = [SystemParams(6.0, 6.0), SystemParams(3.0, 6.0, 1.0, -0.5), SystemParams(6.0, 3.0, gamma3=0.0)]
         degenerate = SystemParams(0.0, 0.0, gamma3=0.0)
