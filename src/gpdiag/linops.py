@@ -14,7 +14,6 @@ the real form with one real SVD.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,21 +25,15 @@ class NoSteadyStateError(RuntimeError):
     """No physical steady state: no usable null vector, or one that is not positive semidefinite."""
 
 
-class EigenSystem(NamedTuple):
-    """Eigenvalues in ascending order; eigenvectors[..., :, k] pairs with eigenvalues[..., k]."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(a) -> EigenSystem:
+def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix or of an (..., n, n) stack of them.
 
+    Returns numpy's EighResult(eigenvalues, eigenvectors): eigenvalues in
+    ascending order, and eigenvectors[..., :, k] pairs with eigenvalues[..., k].
     Raises ValueError if max |A - A^dag| over the stack exceeds
     HERMITICITY_TOL; an empty (0, n, n) stack decomposes, as in eigh.  Output
-    is deterministic for identical input (LAPACK zheevd order: ascending
-    eigenvalues, orthonormal columns), and each member of a stack decomposes
-    exactly as it does alone.
+    is deterministic for identical input (LAPACK zheevd order, orthonormal
+    columns), and each member of a stack decomposes exactly as it does alone.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -51,8 +44,7 @@ def hermitian_eig(a) -> EigenSystem:
     dev = np.max(np.abs(a - a_dag), initial=0.0)
     if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
-    w, v = np.linalg.eigh(0.5 * (a + a_dag))
-    return EigenSystem(w, v)
+    return np.linalg.eigh(0.5 * (a + a_dag))
 
 
 def hermitian_basis(dim: int) -> np.ndarray:

@@ -4,8 +4,8 @@
 `beta_coefficient`, `taylor_gp`).  This module holds the forms the tests
 compare the pipeline and those closed forms against: the resonant dark
 state, the first-order density matrix, the independently rederived `beta`,
-and the derived parameters X, delta_bar, gamma21, Omega and delta1 + delta2
-of a `SystemParams`.
+the resonant concurrence of either scheme, and the derived parameters X,
+delta_bar, gamma21, Omega and delta1 + delta2 of a `SystemParams`.
 """
 
 import math
@@ -79,3 +79,21 @@ def beta_coefficient_rederived(X: float, gamma21: float) -> float:
     c = math.cos(X)
     s = math.sin(X)
     return -0.5 * c * c * (gamma21 * gamma21 + s * s)
+
+
+def resonant_concurrence(p: SystemParams) -> float:
+    """Concurrence of the photon pair's steady state at delta1 = delta2 = 0, in closed form.
+
+    With F1 = g2^2 g3 + 4 g2 w2^2 + 8 g3 w1^2 and
+    F2 = g2 g3 + g3^2 + 4 w1^2 + 4 w2^2,
+
+        C = 8 w1 w2 |4 g3 w1^2 - g2 g3 (g2 + g3) - 4 g2 w2^2| / (F1 F2).
+
+    At g3 = 0 (scheme II) it is the dark state's 2 w1 w2 / (w1^2 + w2^2) =
+    sin 2X; for g3 > 0 the state is exactly separable on the curve
+    4 g3 w1^2 = g2 g3 (g2 + g3) + 4 g2 w2^2.  The detunings of `p` are not read.
+    """
+    w1, w2, g2, g3 = p.omega1, p.omega2, p.gamma2, p.gamma3
+    f1 = g2 * g2 * g3 + 4 * g2 * w2 * w2 + 8 * g3 * w1 * w1
+    f2 = g2 * g3 + g3 * g3 + 4 * w1 * w1 + 4 * w2 * w2
+    return 8 * w1 * w2 * abs(4 * g3 * w1 * w1 - g2 * g3 * (g2 + g3) - 4 * g2 * w2 * w2) / (f1 * f2)

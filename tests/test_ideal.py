@@ -175,6 +175,32 @@ class TestBetaCoefficient:
         assert round(c, 2) == 0.31 and round(c_est, 2) == 0.94
 
 
+class TestResonantConcurrence:
+    """The pipeline's concurrence at two-photon resonance against its closed form, in both schemes."""
+
+    def test_matches_pipeline(self):
+        # 300 resonant points, the first 20 in scheme II (gamma3 = 0); about 8e-15 at most when this was added
+        rng = np.random.default_rng(1)
+        w1, w2, g2 = rng.uniform(0.05, 10.0, size=(3, 300))
+        g3 = rng.uniform(0.0, 5.0, size=300)
+        g3[:20] = 0.0
+        params = [SystemParams(*point) for point in zip(w1, w2, np.zeros(300), np.zeros(300), g2, g3)]
+        miss = max(abs(oracle.resonant_concurrence(p) - concurrence(atomic_to_photon(steady_state(p))))
+                   for p in params)
+        assert miss <= 1e-12
+
+    def test_scheme_ii_is_sin_2x(self, rng):
+        for _ in range(50):
+            p = SystemParams(*rng.uniform(0.05, 10.0, size=2), gamma2=rng.uniform(0.05, 10.0), gamma3=0.0)
+            assert abs(oracle.resonant_concurrence(p) - math.sin(2.0 * oracle.mixing_angle(p))) <= 1e-14
+
+    def test_separable_curve(self):
+        # 4 g3 w1^2 = g2 g3 (g2 + g3) + 4 g2 w2^2 at g2 = 6, g3 = 1, w2 = 2: 138 = 42 + 96
+        p = SystemParams(math.sqrt(34.5), 2.0, gamma2=6.0, gamma3=1.0)
+        assert oracle.resonant_concurrence(p) <= 1e-12
+        assert concurrence(atomic_to_photon(steady_state(p))) <= 1e-12
+
+
 class TestTaylorGp:
     def test_zero_detuning_is_zero(self, rng):
         for _ in range(10):

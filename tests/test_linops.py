@@ -39,10 +39,20 @@ def test_non_hermitian_rejected():
         hermitian_eig(np.ones((2, 3)))
 
 
-def test_empty_stack_decomposes():
-    # as np.linalg.eigh does: no member, so no Hermiticity deviation either
-    w, v = hermitian_eig(np.zeros((0, 3, 3)))
-    assert w.shape == (0, 3) and v.shape == (0, 3, 3)
+@pytest.mark.parametrize("shape", [(), (4,), (0,)], ids=["single", "stack", "empty-stack"])
+def test_returns_numpys_eigh_result_in_ascending_pairs(rng, shape):
+    # numpy's own EighResult: eigenvalues ascend, and eigenvectors[..., :, k] pairs with eigenvalues[..., k];
+    # an empty stack decomposes as in np.linalg.eigh, with no member and so no Hermiticity deviation either
+    a = np.zeros(shape + (3, 3), dtype=complex)
+    for index in np.ndindex(shape):
+        a[index] = random_hermitian(rng, 3)
+    result = hermitian_eig(a)
+    assert type(result) is type(np.linalg.eigh(np.eye(2)))
+    w, v = result
+    assert w.shape == shape + (3,) and v.shape == shape + (3, 3)
+    assert (np.diff(w, axis=-1) >= 0).all()
+    # column k of a @ v is a @ v[..., :, k], which must equal w[..., k] v[..., :, k]
+    assert np.max(np.abs(a @ v - v * w[..., None, :]), initial=0.0) <= 1e-12
 
 
 def test_reconstruction_random(rng):
