@@ -15,6 +15,7 @@ import itertools
 import math
 import multiprocessing
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -26,7 +27,7 @@ from gpdiag.gp import AxisSpec, PathSpec, gp_curve_from_states, gp_derivative
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 # Linux forks on every Python (3.14 defaults to forkserver), so the workers are the caller's children and need no guard
-Pool = multiprocessing.get_context("fork").Pool if sys.platform == "linux" else multiprocessing.Pool
+_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
 
 OUTPUT_KINDS = ("eigenvalues", "purity", "concurrence", "gamma_g", "dgamma")
 # the CSV fields of each output, in column order
@@ -167,13 +168,72 @@ def map_columns(fn, payloads, jobs):
     """fn(*payload) for every payload, in payload order.
 
     With jobs > 1 the calls are spread over min(jobs, len(payloads)) worker
-    processes, one payload at a time, so results never depend on the worker
-    count.
+    processes, each with a fixed share of the payloads, so results never
+    depend on the worker count.
     """
-    if jobs > 1 and len(payloads) > 1:
-        with Pool(processes=min(jobs, len(payloads))) as pool:
-            return pool.starmap(fn, payloads, chunksize=1)
-    return [fn(*p) for p in payloads]
+    workers = min(jobs, len(payloads))
+    if workers < 2:
+        return [fn(*p) for p in payloads]
+    return _map_in_workers(fn, payloads, workers)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an error raised in a worker process, as text: the cause of the error re-raised."""
+
+
+def _run_share(fn, share, writer):
+    """Worker body: send (results, None), or the results before the first call that raised and
+    (its error, traceback text)."""
+    results, failure = [], None
+    try:
+        for payload in share:
+            results.append(fn(*payload))
+    except Exception as err:
+        failure = err, traceback.format_exc()
+    writer.send((results, failure))
+
+
+def _map_in_workers(fn, payloads, workers):
+    """map_columns on `workers` processes: worker w takes payloads[w::workers] and returns them over its own
+    pipe.  Raises what the first failing payload raised, or ChildProcessError when a worker died."""
+    readers, procs, shares = [], [], []
+    try:
+        for w in range(workers):
+            reader, writer = _CONTEXT.Pipe(duplex=False)
+            readers.append(reader)
+            try:
+                proc = _CONTEXT.Process(target=_run_share, args=(fn, payloads[w::workers], writer))
+                proc.start()
+                procs.append(proc)
+            finally:
+                writer.close()  # so that a dead worker's pipe reads EOF
+        # every pipe is read before any join: a worker blocks in send until its share is read
+        for reader in readers:
+            try:
+                shares.append(reader.recv())
+            except (EOFError, OSError):  # OSError: the worker died in the middle of its message
+                shares.append(None)
+    except BaseException:  # a failed start or an interrupt: no worker runs the rest of its share
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for reader in readers:
+            reader.close()  # a worker still sending gets BrokenPipeError rather than blocking the join
+        for proc in procs:
+            proc.join()
+    for proc, share in zip(procs, shares):
+        if share is None:
+            raise ChildProcessError(f"sweep worker process {proc.pid} exited with code {proc.exitcode} "
+                                    "before sending its results")
+    failures = [(w + workers * len(results), failure) for w, (results, failure) in enumerate(shares) if failure]
+    if failures:
+        err, text = min(failures)[1]  # the payload indices differ, so no two errors are compared
+        raise err from _WorkerTraceback(text)
+    ordered = [None] * len(payloads)
+    for w, (results, _) in enumerate(shares):
+        ordered[w::workers] = results
+    return ordered
 
 
 def photon_states(params):

@@ -11,25 +11,15 @@ def rng():
 
 
 @pytest.fixture
-def pool_calls(monkeypatch):
-    """Run sweep's process pools in-process; returns (workers, function name, payloads) per pool."""
+def worker_calls(monkeypatch):
+    """Run sweep's worker processes in-process; returns (workers, function name, payloads) per parallel map."""
     calls = []
 
-    class RecordingPool:
-        def __init__(self, processes):
-            self.processes = processes
+    def recording_map(fn, payloads, workers):
+        calls.append((workers, fn.__name__, len(payloads)))
+        return [fn(*p) for p in payloads]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, payloads, chunksize):
-            calls.append((self.processes, fn.__name__, len(payloads)))
-            return [fn(*p) for p in payloads]
-
-    monkeypatch.setattr(gpdiag.sweep, "Pool", RecordingPool)
+    monkeypatch.setattr(gpdiag.sweep, "_map_in_workers", recording_map)
     return calls
 
 

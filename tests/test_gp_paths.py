@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import tracking_oracle as oracle
 from gpdiag.cascade import SystemParams
-from gpdiag.gp import PathSpec, _prefix_terms, track_spectrum
+from gpdiag.gp import AxisSpec, PathSpec, _prefix_terms, track_spectrum
+from gpdiag.sweep import path_columns
 
 
 def _probabilities(rng, n):
@@ -104,3 +105,14 @@ def test_crossing_labels_compose_across_later_steps():
 def test_path_span_must_be_finite():
     with pytest.raises(ValueError, match=r"span stop - start must be finite, got \[-1e\+308, 1e\+308\]"):
         PathSpec(SystemParams(6.0, 6.0), "delta1", -1e308, 1e308, 3)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: a sample at two-photon resonance, where the two weaker "
+                   "eigenvalues are both 0, gets an arbitrary eigenbasis that enters gamma_g")
+def test_scheme2_gamma_g_does_not_depend_on_sampling_resonance():
+    # fig5's ef panel in scheme II; linspace(-3, 3, 601) holds delta1 = 0 exactly and 600 samples do not.
+    # The endpoints read -0.0398288480 and -0.0401248178, 2.96e-4 apart.
+    base = SystemParams(6.0, 3.0, 0.0, 0.0, 6.0, 0.0)
+    ends = [path_columns([base], AxisSpec("delta1", -3.0, 3.0, n), ("gamma_g",), jobs=1)[1][0][-1, 0]
+            for n in (601, 600)]
+    assert abs(ends[0] - ends[1]) <= 1e-6

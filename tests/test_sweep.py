@@ -1,7 +1,10 @@
+import errno
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +15,10 @@ from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_REAL, SystemParams, st
 from gpdiag.gp import PathSpec, gp_curve_from_states, gp_derivative, sample_path
 from gpdiag.linops import NoSteadyStateError
 from gpdiag.photons import atomic_to_photon
+from gpdiag.recipes import run_recipe
 from gpdiag.sweep import (
-    AxisSpec, ConfigError, SweepSpec, map_columns, parse_config, photon_states, run_sweep, write_csv,
+    AxisSpec, ConfigError, SweepSpec, map_columns, parse_config, path_columns, photon_states, run_sweep,
+    write_csv,
 )
 
 MINIMAL = """\
@@ -319,19 +324,98 @@ def test_write_csv_equals_field_by_field_join(tmp_path, rng, fields, two_axes):
     assert path.read_bytes() == _csv_oracle(*column)
 
 
-def test_map_columns_starts_at_most_one_worker_per_payload(pool_calls):
+def test_map_columns_starts_at_most_one_worker_per_payload(worker_calls):
     assert map_columns(pow, [(2, 3), (3, 2)], jobs=8) == [8, 9]
-    assert pool_calls == [(2, "pow", 2)]
+    assert worker_calls == [(2, "pow", 2)]
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
-def test_pool_workers_are_children_of_the_caller_under_any_start_method():
-    # forkserver is the Linux default from Python 3.14; its workers would be children of the fork server
-    script = ("import multiprocessing, os\n"
-              "from gpdiag.sweep import map_columns\n"
-              "multiprocessing.set_start_method('forkserver', force=True)\n"
-              "assert map_columns(os.getppid, [(), ()], jobs=2) == [os.getpid()] * 2\n")
+def _index_and_pid(i):
+    return i, os.getpid()
+
+
+@pytest.mark.parametrize("count, jobs", [(5, 2), (5, 3), (1, 4)])
+def test_map_columns_returns_uneven_shares_in_payload_order(count, jobs):
+    results = map_columns(_index_and_pid, [(i,) for i in range(count)], jobs)
+    assert [i for i, _ in results] == list(range(count))
+    pids = {pid for _, pid in results}
+    # one payload runs in process
+    assert len(pids) == min(jobs, count) and (count > 1) == (os.getpid() not in pids)
+
+
+def test_map_columns_raises_the_error_of_the_first_failing_payload():
+    # worker 0 takes payloads 0 and 2 and fails at 2; worker 1 fails at payload 1, which the serial loop meets first
+    payloads = [("1",), ("a",), (None,)]
+    with pytest.raises(ValueError) as serial:
+        map_columns(int, payloads, jobs=1)
+    with pytest.raises(Exception) as parallel:
+        map_columns(int, payloads, jobs=2)
+    assert type(parallel.value) is type(serial.value) and str(parallel.value) == str(serial.value)
+    # the worker's traceback is kept as the cause
+    assert str(parallel.value.__cause__).startswith("Traceback") and str(serial.value) in str(parallel.value.__cause__)
+
+
+def test_map_columns_under_spawn_matches_in_process(monkeypatch, tmp_path):
+    # spawn is the default start method on macOS and Windows, which pickle the function, payloads and pipes
+    monkeypatch.setattr(gpdiag.sweep, "_CONTEXT", multiprocessing.get_context("spawn"))
+    bases = [SystemParams(omega1, 6.0) for omega1 in (2.0, 4.0, 6.0)]
+    axis, outputs = AxisSpec("delta1", -1.0, 1.0, 5), ("purity", "gamma_g")
+    _, serial = path_columns(bases, axis, outputs, jobs=1)
+    _, spawned = path_columns(bases, axis, outputs, jobs=2)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(serial, spawned, strict=True))
+    # fig4 maps its own column function, whose payloads carry reference states
+    runs = [run_recipe("fig4", tmp_path / str(jobs), samples=3, jobs=jobs).files for jobs in (1, 2)]
+    assert [f.read_bytes() for f in runs[0]] == [f.read_bytes() for f in runs[1]]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="a test-local Process class reaches a worker by forking only")
+def test_a_failed_start_stops_the_running_workers(monkeypatch):
+    class FailingSecondStart(gpdiag.sweep._CONTEXT.Process):
+        starts = 0
+
+        def start(self):
+            FailingSecondStart.starts += 1
+            if FailingSecondStart.starts == 2:
+                raise OSError(errno.EAGAIN, "fork failed")
+            super().start()
+
+    monkeypatch.setattr(gpdiag.sweep._CONTEXT, "Process", FailingSecondStart)
+    began = time.monotonic()
+    # worker 0 sleeps through its share while the start of worker 1 fails
+    with pytest.raises(OSError, match="fork failed"):
+        map_columns(time.sleep, [(60,), (60,)], jobs=2)
+    assert time.monotonic() - began < 10
+    assert multiprocessing.active_children() == []
+
+
+def _run_script(script: str) -> subprocess.CompletedProcess:
     src = str(Path(gpdiag.sweep.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=30)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the workers fork on Linux only")
+def test_workers_are_children_of_the_caller_under_any_start_method():
+    # forkserver is the Linux default from Python 3.14; its workers would be children of the fork server
+    run = _run_script("import multiprocessing, os\n"
+                      "from gpdiag.sweep import map_columns\n"
+                      "multiprocessing.set_start_method('forkserver', force=True)\n"
+                      "assert map_columns(os.getppid, [(), ()], jobs=2) == [os.getpid()] * 2\n")
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="a function of a -c script reaches a worker by forking only")
+def test_a_killed_worker_raises_instead_of_hanging():
+    run = _run_script("import multiprocessing, os, signal\n"
+                      "from gpdiag.sweep import map_columns\n"
+                      "def kill_at_one(i):\n"
+                      "    if i == 1:\n"
+                      "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                      "    return i\n"
+                      "try:\n"
+                      "    map_columns(kill_at_one, [(0,), (1,), (2,)], jobs=2)\n"
+                      "except ChildProcessError as err:\n"
+                      "    assert 'exited with code -9' in str(err), err\n"
+                      "else:\n"
+                      "    raise AssertionError('no ChildProcessError')\n"
+                      "assert multiprocessing.active_children() == []\n")
     assert run.returncode == 0, run.stderr
