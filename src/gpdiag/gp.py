@@ -252,15 +252,11 @@ def gp_curve_from_states(states) -> np.ndarray:
 def gp_derivative(gammas, h) -> np.ndarray:
     """d gamma / d s of phases sampled h apart, as a float array; all NaN when any phase is a NaN gap.
 
-    Central differences inside, second-order one-sided differences at the ends.
+    np.gradient with edge_order=2: central differences inside, second-order one-sided ones at the ends.
     """
     g = np.array(gammas, dtype=float)
     if len(g) < 3:
         raise ValueError("need at least 3 points to differentiate")
-    d = np.full_like(g, np.nan)
     if np.isnan(g).any():
-        return d
-    d[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
-    d[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * h)
-    return d
+        return np.full_like(g, np.nan)
+    return np.gradient(g, h, edge_order=2)
