@@ -115,7 +115,8 @@ def _cmd_sweep(args) -> int:
     config_path = Path(args.config)
     try:
         data = config_path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark, as utf-8-sig
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # universal newlines, as read_text
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # universal newlines, before the line count
+        text = data.decode("utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config {config_path}: {err}") from err
     except UnicodeDecodeError as err:

@@ -222,7 +222,9 @@ samples = 5
         (b"; caf\xff\n" + SWEEP_1D.encode(), "line 1: byte 0xff is not valid UTF-8"),
         (SWEEP_1D.encode().replace(b"out.csv", b"caf\xe9.csv"), "line 4: byte 0xe9 is not valid UTF-8"),
         (b"\xef\xbb\xbf[sweep]\n\n\xff\n", "line 3: byte 0xff is not valid UTF-8"),
-    ], ids=["repeated_key", "repeated_section", "not_utf8", "not_utf8_later_line", "not_utf8_after_bom"])
+        (b"[sweep]\r\rpath = caf\xe9.csv\r", "line 3: byte 0xe9 is not valid UTF-8"),
+    ], ids=["repeated_key", "repeated_section", "not_utf8", "not_utf8_later_line", "not_utf8_after_bom",
+            "not_utf8_cr_line_ends"])
     def test_unreadable_config_is_one_line(self, data, detail, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
         config.write_bytes(data)
@@ -677,3 +679,9 @@ def test_mutated_sweep_config_exits_cleanly(mutations, newline, junk):
     assert wrote == (code == 0)
     if _parser_names_a_line(data):
         assert code == 1 and "line" in err
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        # the seed config is ASCII, so every line end before the first bad byte is one str.splitlines counts
+        line = len((data[:bad.start].decode("ascii") + "x").splitlines())
+        assert err == f"gpdiag: config error: line {line}: byte 0x{data[bad.start]:02x} is not valid UTF-8\n"

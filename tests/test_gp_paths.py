@@ -5,6 +5,7 @@ greedy matches are unambiguous the stacked tracker must reproduce it exactly;
 on ambiguous paths both must raise the resolution warning.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import tracking_oracle as oracle
 from gpdiag.cascade import SystemParams
-from gpdiag.gp import AxisSpec, PathSpec, _prefix_terms, gp_curve_from_states, sample_path, track_spectrum
+from gpdiag.gp import (AxisSpec, PathSpec, _prefix_terms, gp_curve_from_states, gp_derivative, sample_path,
+                       track_spectrum)
 from gpdiag.sweep import path_columns
 
 
@@ -118,14 +120,46 @@ def test_scheme2_gamma_g_does_not_depend_on_sampling_resonance():
     assert abs(ends[0] - ends[1]) <= 1e-6
 
 
+@functools.cache
+def _ef_panel(samples):
+    """States and gamma_g along fig5's ef panel, scheme I at default rates, with their sample step."""
+    states = sample_path(PathSpec(SystemParams(6.0, 3.0, 0.0, 0.0, 6.0, 1.0), "delta1", -3.0, 3.0, samples))
+    return states, gp_curve_from_states(states), 6.0 / (samples - 1)
+
+
 def test_half_grid_estimates_the_discretization_error_of_gamma_g():
     # ROADMAP item 16: gamma_g converges at second order, so a third of its change when the same states are
     # taken at every other sample estimates its error.  fig5's ef panel, scheme I, at default rates: the estimate
     # read 3.348e-7 against an error of 3.335e-7 measured on 9601 samples, whose every 16th sample is the 601.
-    base = SystemParams(6.0, 3.0, 0.0, 0.0, 6.0, 1.0)
-    states = sample_path(PathSpec(base, "delta1", -3.0, 3.0, 601))
-    gammas = gp_curve_from_states(states)
+    states, gammas, _ = _ef_panel(601)
     estimate = np.max(np.abs(gammas[::2] - gp_curve_from_states(states[::2]))) / 3.0
-    dense = gp_curve_from_states(sample_path(PathSpec(base, "delta1", -3.0, 3.0, 9601)))
+    _, dense, _ = _ef_panel(9601)
     error = np.max(np.abs(gammas - dense[::16]))
     assert abs(estimate - error) <= 0.05 * error
+
+
+def test_half_grid_estimates_the_discretization_error_of_dgamma():
+    # the same estimate for dgamma, np.gradient of gamma_g: on the ef panel it read 2.217e-7 against an error of
+    # 2.167e-7, largest at the one-sided last sample, beside a largest |dgamma| of 0.0315
+    states, gammas, h = _ef_panel(601)
+    slope = gp_derivative(gammas, h)
+    estimate = np.max(np.abs(slope[::2] - gp_derivative(gp_curve_from_states(states[::2]), 2.0 * h))) / 3.0
+    _, dense, dense_h = _ef_panel(9601)
+    error = np.max(np.abs(slope - gp_derivative(dense, dense_h)[::16]))
+    assert abs(estimate - error) <= 0.05 * error
+
+
+def _largest_gamma_g(delta, gamma3):
+    """max |gamma_g| along omega1 in [0.5, 6] at delta1 = -delta2 = delta, one per omega2 in (2, 3, 6)."""
+    bases = [SystemParams(0.0, omega2, delta, -delta, 6.0, gamma3) for omega2 in (2.0, 3.0, 6.0)]
+    _, columns = path_columns(bases, AxisSpec("omega1", 0.5, 6.0, 201), ("gamma_g",), jobs=1)
+    return [np.max(np.abs(column[:, 0])) for column in columns]
+
+
+def test_gamma_g_is_rounding_at_zero_detunings():
+    # ROADMAP item 10: at delta1 = delta2 = 0 the detuning mirror makes every steady state real after
+    # diag(1, i, 1), so gamma_g along any path is 0 or pi; it read at most 1.1e-14.  At delta1 = -delta2 = 1
+    # the smallest, at omega2 = 6, read 2.5e-3 (gamma3 = 1) and 9.4e-4 (gamma3 = 0.5).
+    for gamma3 in (1.0, 0.5):
+        assert max(_largest_gamma_g(0.0, gamma3)) <= 1e-12
+        assert min(_largest_gamma_g(1.0, gamma3)) >= 1e-4
