@@ -10,10 +10,8 @@ count.
 
 from __future__ import annotations
 
-import configparser
 import itertools
 import math
-import multiprocessing
 import sys
 import traceback
 from dataclasses import dataclass, replace
@@ -26,8 +24,6 @@ from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_
 from gpdiag.gp import AxisSpec, PathSpec, gp_curve_from_states, gp_derivative
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
-# Linux forks on every Python (3.14 defaults to forkserver), so the workers are the caller's children and need no guard
-_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
 
 OUTPUT_KINDS = ("eigenvalues", "purity", "concurrence", "gamma_g", "dgamma")
 # the CSV fields of each output, in column order
@@ -91,6 +87,8 @@ def parse_config(text: str, samples: int | None = None, gamma2: float | None = N
                  gamma3: float | None = None) -> SweepSpec:
     """Strict parse of the flat key=value sweep configuration.  A given samples (of every axis), gamma2 or gamma3
     replaces the config value before any range check; the value it replaces must still be well formed."""
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -146,6 +144,10 @@ def parse_config(text: str, samples: int | None = None, gamma2: float | None = N
 
     axis1 = axis_from("axis1")
     axis2 = axis_from("axis2") if "axis2" in parser else None
+    # an axis replaces its parameter at every point, so a [sweep] value for it would be dropped in silence
+    for name, axis in (("axis1", axis1), ("axis2", axis2)):
+        if axis is not None and axis.parameter in sweep:
+            raise ConfigError(f"[sweep]: key {axis.parameter!r} sets the parameter that [{name}] sweeps")
     return SweepSpec(base, axis1, axis2, outputs, sweep.get("path", "sweep.csv"))
 
 
@@ -193,16 +195,26 @@ def _run_share(fn, share, writer):
     writer.send((results, failure))
 
 
+def _context():
+    """The multiprocessing context of the workers, imported only by a run that starts them."""
+    import multiprocessing
+
+    # Linux forks on every Python (3.14 defaults to forkserver), so the workers are the caller's children and need
+    # no guard
+    return multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+
+
 def _map_in_workers(fn, payloads, workers):
     """map_columns on `workers` processes: worker w takes payloads[w::workers] and returns them over its own
     pipe.  Raises what the first failing payload raised, or ChildProcessError when a worker died."""
+    context = _context()
     readers, procs, shares = [], [], []
     try:
         for w in range(workers):
-            reader, writer = _CONTEXT.Pipe(duplex=False)
+            reader, writer = context.Pipe(duplex=False)
             readers.append(reader)
             try:
-                proc = _CONTEXT.Process(target=_run_share, args=(fn, payloads[w::workers], writer))
+                proc = context.Process(target=_run_share, args=(fn, payloads[w::workers], writer))
                 proc.start()
                 procs.append(proc)
             finally:

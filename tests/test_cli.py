@@ -595,7 +595,7 @@ stop = 1
 samples = 3
 
 [axis2]
-parameter = omega1
+parameter = delta2
 start = 0
 stop = 1
 samples = 2

@@ -1,4 +1,4 @@
-"""Every module-level import in the gpdiag modules is used (no linter runs in CI, so this is the check)."""
+"""Every import in the gpdiag modules is used (no linter runs in CI, so this is the check)."""
 
 import ast
 from pathlib import Path
@@ -11,10 +11,11 @@ MODULES = sorted(p for p in Path(gpdiag.__file__).parent.glob("*.py") if p.name 
 
 
 def unused_imports(source: str) -> list:
-    """Names bound by the module-level imports of `source` that no expression of the module reads."""
+    """Names bound by the imports of `source`, at module level or inside a function, that no expression of the
+    module reads."""
     tree = ast.parse(source)
     bound = []
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -26,8 +27,9 @@ def unused_imports(source: str) -> list:
 
 def test_unused_import_is_found():
     assert MODULES, "no gpdiag modules found"
-    source = "from __future__ import annotations\nimport math\nimport os.path\nfrom json import dumps as d\nx = math.pi\n"
-    assert unused_imports(source) == ["os", "d"]
+    source = ("from __future__ import annotations\nimport math\nimport os.path\nfrom json import dumps as d\n"
+              "def f():\n    import configparser\n    return math.pi\n")
+    assert unused_imports(source) == ["os", "d", "configparser"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -138,11 +138,12 @@ class TestParseConfig:
         (MINIMAL.replace("[sweep]", "[sweep]\npath = ../out.csv"), "plain file name, got '../out.csv'"),
         (MINIMAL.replace("[sweep]", "[sweep]\npath ="), "plain file name, got ''"),
         (MINIMAL.replace("[sweep]", "[sweep]\npath = .."), "plain file name, got '..'"),
+        (MINIMAL.replace("[sweep]", "[sweep]\ndelta1 = 2"), "key 'delta1' sets the parameter that \\[axis1\\] sweeps"),
     ], ids=["non_numeric", "non_finite", "no_header", "no_sweep", "unknown_scheme",
             "missing_axis_key", "non_integer_samples", "empty_outputs",
             "negative_drive_axis", "infinite_axis_span", "detuning_sum_overflow",
             "duplicate_output", "absolute_path", "path_in_subdirectory", "path_in_parent", "empty_path",
-            "parent_directory_path"])
+            "parent_directory_path", "swept_key"])
     def test_rejected_config(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
@@ -356,7 +357,7 @@ def test_map_columns_raises_the_error_of_the_first_failing_payload():
 
 def test_map_columns_under_spawn_matches_in_process(monkeypatch, tmp_path):
     # spawn is the default start method on macOS and Windows, which pickle the function, payloads and pipes
-    monkeypatch.setattr(gpdiag.sweep, "_CONTEXT", multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(gpdiag.sweep, "_context", lambda: multiprocessing.get_context("spawn"))
     bases = [SystemParams(omega1, 6.0) for omega1 in (2.0, 4.0, 6.0)]
     axis, outputs = AxisSpec("delta1", -1.0, 1.0, 5), ("purity", "gamma_g")
     _, serial = path_columns(bases, axis, outputs, jobs=1)
@@ -369,7 +370,9 @@ def test_map_columns_under_spawn_matches_in_process(monkeypatch, tmp_path):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="a test-local Process class reaches a worker by forking only")
 def test_a_failed_start_stops_the_running_workers(monkeypatch):
-    class FailingSecondStart(gpdiag.sweep._CONTEXT.Process):
+    context = gpdiag.sweep._context()
+
+    class FailingSecondStart(context.Process):
         starts = 0
 
         def start(self):
@@ -378,7 +381,7 @@ def test_a_failed_start_stops_the_running_workers(monkeypatch):
                 raise OSError(errno.EAGAIN, "fork failed")
             super().start()
 
-    monkeypatch.setattr(gpdiag.sweep._CONTEXT, "Process", FailingSecondStart)
+    monkeypatch.setattr(context, "Process", FailingSecondStart)
     began = time.monotonic()
     # worker 0 sleeps through its share while the start of worker 1 fails
     with pytest.raises(OSError, match="fork failed"):
@@ -419,3 +422,17 @@ def test_a_killed_worker_raises_instead_of_hanging():
                       "    raise AssertionError('no ChildProcessError')\n"
                       "assert multiprocessing.active_children() == []\n")
     assert run.returncode == 0, run.stderr
+
+
+def test_only_a_run_that_starts_workers_loads_multiprocessing(tmp_path):
+    # a serial run loads neither package; importing gpdiag.cli imports every gpdiag module
+    loaded = {}
+    for jobs in (1, 2):
+        run = _run_script("import sys\n"
+                          "import gpdiag.cli\n"
+                          "from gpdiag.recipes import run_recipe\n"
+                          f"run_recipe('fig2', {str(tmp_path / str(jobs))!r}, samples=3, jobs={jobs})\n"
+                          "print(*sorted({'multiprocessing', 'configparser'} & set(sys.modules)))\n")
+        assert run.returncode == 0, run.stderr
+        loaded[jobs] = run.stdout.split()
+    assert loaded[1] == [] and "multiprocessing" in loaded[2]
