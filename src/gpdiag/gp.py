@@ -32,17 +32,18 @@ SWEEPABLE = ("delta1", "delta2", "omega1", "omega2")
 
 
 @dataclass(frozen=True)
-class AxisSpec:
-    """Uniform axis of `samples` values of `parameter` over [start, stop]; the one check of an axis."""
+class PathSpec:
+    """Uniform 1-D path in control-parameter space: `varying` runs over [start, stop]; the one check of a path."""
 
-    parameter: str
+    base: SystemParams
+    varying: str
     start: float
     stop: float
     samples: int
 
     def __post_init__(self):
-        if self.parameter not in SWEEPABLE:
-            raise ValueError(f"unknown axis parameter {self.parameter!r}")
+        if self.varying not in SWEEPABLE:
+            raise ValueError(f"unknown axis parameter {self.varying!r}")
         if not (self.start < self.stop):
             raise ValueError(f"axis start must be < stop, got [{self.start}, {self.stop}]")
         if not np.isfinite(self.stop - self.start):
@@ -52,27 +53,12 @@ class AxisSpec:
         # a span of a few ulps rounds samples together, and a repeated sample leaves no step to differentiate by
         if not (np.diff(self.values()) > 0.0).all():
             raise ValueError(f"axis [{self.start}, {self.stop}] does not hold {self.samples} distinct samples")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.samples)
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """Uniform 1-D path in control-parameter space: `varying` runs over [start, stop]."""
-
-    base: SystemParams
-    varying: str
-    start: float
-    stop: float
-    samples: int
-
-    def __post_init__(self):
-        AxisSpec(self.varying, self.start, self.stop, self.samples)
-        # parameter constraints are interval constraints, so endpoint validity
-        # implies validity of every sample
-        self.params_at(self.start)
-        self.params_at(self.stop)
+        # parameter constraints are interval constraints, so endpoint validity implies validity of every sample
+        for value in (self.start, self.stop):
+            try:
+                self.params_at(value)
+            except ValueError as err:
+                raise ValueError(f"{self.varying} = {value!r}: {err}") from err
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.samples)

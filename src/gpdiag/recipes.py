@@ -5,8 +5,8 @@ the derivative-surface maps, the fluctuation-map window) are frozen in one
 table per recipe, keyed as in its sidecar <id>_meta.json: the recipe reads its
 inputs from the table, and run_recipe writes the table, plus the run-time
 entries, as the sidecar.  Every recipe except fig4 is a table of delta1
-columns evaluated by sweep.path_columns.  All outputs are deterministic for
-a given sample count, independent of the worker count.
+paths, gp.PathSpec columns evaluated by sweep.path_columns.  All outputs are
+deterministic for a given sample count, independent of the worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams
-from gpdiag.gp import AxisSpec, gp_derivative, two_point_phases, unwrap_phases
+from gpdiag.gp import PathSpec, gp_derivative, two_point_phases, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import NoSteadyStateError
 from gpdiag.sweep import RunResult, map_columns, path_columns, photon_states, write_tables
@@ -46,11 +46,12 @@ _FIG2 = {
 
 
 def _run_fig2(recipe_id, t, samples, jobs, gamma2, gamma3):
-    bases = [SystemParams(c["omega1"], c["omega2"], 0.0, 0.0, gamma2,
-                          DEFAULT_GAMMA3_IDEAL if c["scheme"] == "ii" else gamma3) for c in t["combos"]]
-    deltas, columns = path_columns(bases, AxisSpec("delta1", *t["delta_range"], samples), ("eigenvalues",), jobs)
+    paths = [PathSpec(SystemParams(c["omega1"], c["omega2"], 0.0, 0.0, gamma2,
+                                   DEFAULT_GAMMA3_IDEAL if c["scheme"] == "ii" else gamma3),
+                      "delta1", *t["delta_range"], samples) for c in t["combos"]]
+    columns = path_columns(paths, ("eigenvalues",), jobs)
     tables = [(f"fig2_{c['scheme']}_{c['omega1']:g}_{c['omega2']:g}.csv", ["delta", "lambda1", "lambda2", "lambda3"],
-               deltas, [None], [column]) for c, column in zip(t["combos"], columns)]
+               path.values(), [None], [column]) for c, path, column in zip(t["combos"], paths, columns)]
     return tables, {"samples": samples, "gamma3_scheme_i": gamma3}
 
 
@@ -69,9 +70,10 @@ _FIG3 = {
 def _run_fig3(recipe_id, t, samples, jobs, gamma2, gamma3):
     g3 = DEFAULT_GAMMA3_IDEAL if t["scheme"] == "II" else gamma3
     doms = np.linspace(*t["omega1_minus_omega2_range"], samples)
-    bases = [SystemParams(t["omega2"] + dom, t["omega2"], 0.0, 0.0, gamma2, g3) for dom in doms]
-    deltas, columns = path_columns(bases, AxisSpec("delta1", *t["delta_range"], samples), ("concurrence",), jobs)
-    return [(f"{recipe_id}.csv", ["delta", "omega1_minus_omega2", "concurrence"], deltas, doms, columns)], \
+    paths = [PathSpec(SystemParams(t["omega2"] + dom, t["omega2"], 0.0, 0.0, gamma2, g3), "delta1",
+                      *t["delta_range"], samples) for dom in doms]
+    columns = path_columns(paths, ("concurrence",), jobs)
+    return [(f"{recipe_id}.csv", ["delta", "omega1_minus_omega2", "concurrence"], paths[0].values(), doms, columns)], \
         {"samples_per_axis": samples, "gamma3": g3}
 
 
@@ -156,10 +158,11 @@ _FIG5 = {
 
 
 def _run_fig5(recipe_id, t, samples, jobs, gamma2, gamma3):
-    bases = [SystemParams(p["omega1"], p["omega2"], 0.0, p["delta2"], gamma2, gamma3) for p in t["panels"]]
-    deltas, columns = path_columns(bases, AxisSpec("delta1", *t["delta1_range"], samples), ("gamma_g", "dgamma"), jobs)
-    tables = [(p["file"], ["delta1", "gamma_g", "dgamma"], deltas, [None], [column])
-              for p, column in zip(t["panels"], columns)]
+    paths = [PathSpec(SystemParams(p["omega1"], p["omega2"], 0.0, p["delta2"], gamma2, gamma3), "delta1",
+                      *t["delta1_range"], samples) for p in t["panels"]]
+    columns = path_columns(paths, ("gamma_g", "dgamma"), jobs)
+    tables = [(p["file"], ["delta1", "gamma_g", "dgamma"], path.values(), [None], [column])
+              for p, path, column in zip(t["panels"], paths, columns)]
     return tables, {"samples": samples, "gamma3": gamma3}
 
 
@@ -182,9 +185,9 @@ def _run_fig6(recipe_id, t, samples, jobs, gamma2, gamma3):
     doms = np.linspace(*t["omega_fluctuation_range"], n_om)
     dfls = np.linspace(*t["delta_fluctuation_range"], n_dl)
     panel = _FIG5["panels"][0]
-    bases = [SystemParams(panel["omega1"] + dom, panel["omega2"], 0.0, dfl, gamma2, gamma3)
-             for dom in doms for dfl in dfls]
-    _, columns = path_columns(bases, AxisSpec("delta1", *_FIG5["delta1_range"], samples), ("gamma_g",), jobs)
+    paths = [PathSpec(SystemParams(panel["omega1"] + dom, panel["omega2"], 0.0, dfl, gamma2, gamma3), "delta1",
+                      *_FIG5["delta1_range"], samples) for dom in doms for dfl in dfls]
+    columns = path_columns(paths, ("gamma_g",), jobs)
     # a cell is the endpoint gamma_g of its delta1 column; cells[i_dom, i_dfl]
     cells = np.array([column[-1, 0] for column in columns]).reshape(n_om, n_dl)
     base = float(cells[n_om // 2, n_dl // 2])  # the unperturbed reference at (0, 0)

@@ -10,7 +10,6 @@ count.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import traceback
@@ -21,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
-from gpdiag.gp import AxisSpec, PathSpec, gp_curve_from_states, gp_derivative
+from gpdiag.gp import PathSpec, gp_curve_from_states, gp_derivative
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 
@@ -41,9 +40,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    base: SystemParams
-    axis1: AxisSpec
-    axis2: AxisSpec | None
+    axis1: PathSpec
+    axis2: PathSpec | None
     outputs: tuple
     path: str
 
@@ -55,21 +53,22 @@ class SweepSpec:
                 raise ConfigError(f"unknown output {out!r}")
             if out in self.outputs[:i]:
                 raise ConfigError(f"duplicate output {out!r}")
-        # the CSV is written inside the output directory, so path names a file there
-        if self.path in ("", ".", "..") or Path(self.path).name != self.path:
+        # the CSV is written inside the output directory, so path names a file there; no file name holds a NUL
+        if self.path in ("", ".", "..") or "\0" in self.path or Path(self.path).name != self.path:
             raise ConfigError(f"path must be a plain file name, got {self.path!r}")
-        if self.axis2 is not None and self.axis2.parameter == self.axis1.parameter:
-            raise ConfigError("axis1 and axis2 must sweep different parameters")
         if "dgamma" in self.outputs and self.axis1.samples < 3:
             raise ConfigError(f"output dgamma needs axis1 samples >= 3, got {self.axis1.samples}")
-        # every parameter constraint is an interval, so the grid is valid when its corners are
-        axes = [axis for axis in (self.axis1, self.axis2) if axis is not None]
-        for corner in itertools.product(*((axis.start, axis.stop) for axis in axes)):
-            where = ", ".join(f"{axis.parameter} = {value!r}" for axis, value in zip(axes, corner))
+        if self.axis2 is None:
+            return
+        if self.axis2.varying == self.axis1.varying:
+            raise ConfigError("axis1 and axis2 must sweep different parameters")
+        # each axis checks its own ends and every parameter constraint is an interval, so the grid is valid when
+        # axis2 is valid from each end of axis1
+        for value in (self.axis1.start, self.axis1.stop):
             try:
-                replace(self.base, **{axis.parameter: value for axis, value in zip(axes, corner)})
+                replace(self.axis2, base=self.axis1.params_at(value))
             except ValueError as err:
-                raise ConfigError(f"grid corner {where}: {err}") from err
+                raise ConfigError(f"grid corner {self.axis1.varying} = {value!r}, {err}") from err
 
 
 def _get_float(section, key, lineno_hint) -> float:
@@ -136,7 +135,7 @@ def parse_config(text: str, samples: int | None = None, gamma2: float | None = N
             raise ConfigError(f"[{section_name}]: samples must be an integer") from err
         start, stop = (_get_float(section, key, f"[{section_name}]") for key in ("start", "stop"))
         try:
-            return AxisSpec(section["parameter"].strip(), start, stop, count if samples is None else samples)
+            return PathSpec(base, section["parameter"].strip(), start, stop, count if samples is None else samples)
         except ValueError as err:
             # --samples is at least 2, so of the axis checks only the distinct-sample one can fault it
             flagged = samples is not None and "distinct samples" in str(err)
@@ -146,9 +145,9 @@ def parse_config(text: str, samples: int | None = None, gamma2: float | None = N
     axis2 = axis_from("axis2") if "axis2" in parser else None
     # an axis replaces its parameter at every point, so a [sweep] value for it would be dropped in silence
     for name, axis in (("axis1", axis1), ("axis2", axis2)):
-        if axis is not None and axis.parameter in sweep:
-            raise ConfigError(f"[sweep]: key {axis.parameter!r} sets the parameter that [{name}] sweeps")
-    return SweepSpec(base, axis1, axis2, outputs, sweep.get("path", "sweep.csv"))
+        if axis is not None and axis.varying in sweep:
+            raise ConfigError(f"[sweep]: key {axis.varying!r} sets the parameter that [{name}] sweeps")
+    return SweepSpec(axis1, axis2, outputs, sweep.get("path", "sweep.csv"))
 
 
 # every CSV value has 12 significant digits; Python prints every NaN as "nan", which becomes an empty field
@@ -293,10 +292,9 @@ def _column_outputs(spec: PathSpec, outputs) -> np.ndarray:
     return table
 
 
-def path_columns(bases, axis: AxisSpec, outputs, jobs):
-    """`outputs` along `axis` from each base point; returns (axis values, one _column_outputs column per base)."""
-    specs = [PathSpec(base, axis.parameter, axis.start, axis.stop, axis.samples) for base in bases]
-    return axis.values(), map_columns(_column_outputs, [(spec, outputs) for spec in specs], jobs)
+def path_columns(paths, outputs, jobs):
+    """`outputs` along each path: one _column_outputs column per path, in path order."""
+    return map_columns(_column_outputs, [(path, outputs) for path in paths], jobs)
 
 
 class RunResult(NamedTuple):
@@ -327,8 +325,8 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> RunResult:
     """Execute a sweep and write its one CSV.  Raises NoSteadyStateError if every sample point failed."""
     axis1, axis2 = spec.axis1, spec.axis2
     axis2_values = [None] if axis2 is None else list(axis2.values())
-    bases = [spec.base if v is None else replace(spec.base, **{axis2.parameter: v}) for v in axis2_values]
-    axis1_values, columns = path_columns(bases, axis1, spec.outputs, jobs)
-    header = [axis.parameter for axis in (axis1, axis2) if axis is not None] + [
+    paths = [axis1 if v is None else replace(axis1, base=axis2.params_at(v)) for v in axis2_values]
+    header = [axis.varying for axis in (axis1, axis2) if axis is not None] + [
         field for out in spec.outputs for field in _FIELDS[out]]
-    return write_tables(Path(out_dir), [(spec.path, header, axis1_values, axis2_values, columns)], "sweep")
+    table = (spec.path, header, axis1.values(), axis2_values, path_columns(paths, spec.outputs, jobs))
+    return write_tables(Path(out_dir), [table], "sweep")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import gpdiag.sweep
 from gpdiag.cascade import SystemParams
@@ -47,3 +48,8 @@ def random_params(rng, scheme="I"):
         gamma2=6.0,
         gamma3=gamma3,
     )
+
+
+def edge_or(lo, hi):
+    """A value in [lo, hi], drawn with a fair chance of the box edge 0."""
+    return st.one_of(st.just(0.0), st.floats(lo, hi, allow_nan=False, allow_infinity=False))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ideal_oracle as oracle
-from conftest import random_density, random_params
+from conftest import edge_or, random_density, random_params
 from gpdiag.cascade import (DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams,
                             build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
@@ -126,14 +126,9 @@ class TestLiouvillian:
                                   f"smallest {smallest})")
 
 
-def _edge_or(lo, hi):
-    """A value in [lo, hi], drawn with a fair chance of the box edge 0."""
-    return st.one_of(st.just(0.0), st.floats(lo, hi, allow_nan=False, allow_infinity=False))
-
-
-_box_params = st.builds(SystemParams, omega1=_edge_or(0.0, 6.0), omega2=_edge_or(0.0, 6.0),
-                        delta1=_edge_or(-6.0, 6.0), delta2=_edge_or(-6.0, 6.0),
-                        gamma2=_edge_or(0.0, 6.0), gamma3=_edge_or(0.0, 6.0))
+_box_params = st.builds(SystemParams, omega1=edge_or(0.0, 6.0), omega2=edge_or(0.0, 6.0),
+                        delta1=edge_or(-6.0, 6.0), delta2=edge_or(-6.0, 6.0),
+                        gamma2=edge_or(0.0, 6.0), gamma3=edge_or(0.0, 6.0))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -659,9 +659,10 @@ def _parser_names_a_line(data):
 @settings(derandomize=True, max_examples=400, deadline=5000)
 @given(mutations=st.lists(_CONFIG_MUTATIONS, max_size=4), newline=st.sampled_from(["\n", "\r\n", "\r"]),
        junk=st.none() | st.tuples(st.integers(0, 400), _INVALID_UTF8))
-# drives whose generator overflows, and an axis1 span too narrow for 3 distinct samples
+# drives whose generator overflows, an axis1 span too narrow for 3 distinct samples, and a NUL in the file name
 @example(mutations=[("value", 2, "1.7e+308"), ("value", 3, "1.7e+308")], newline="\n", junk=None)
 @example(mutations=[("value", 9, "0"), ("value", 10, "5e-324")], newline="\n", junk=None)
+@example(mutations=[("value", 5, "a\0b.csv")], newline="\n", junk=None)
 def test_mutated_sweep_config_exits_cleanly(mutations, newline, junk):
     # exit 0, 1 or 2 with at most one stderr line and no traceback, and an output directory only on exit 0;
     # exit 1 names the line the reader knows

@@ -17,8 +17,7 @@ from gpdiag.linops import NoSteadyStateError
 from gpdiag.photons import atomic_to_photon
 from gpdiag.recipes import run_recipe
 from gpdiag.sweep import (
-    AxisSpec, ConfigError, SweepSpec, map_columns, parse_config, path_columns, photon_states, run_sweep,
-    write_csv,
+    ConfigError, SweepSpec, map_columns, parse_config, path_columns, photon_states, run_sweep, write_csv,
 )
 
 MINIMAL = """\
@@ -58,19 +57,19 @@ samples = 2
 class TestParseConfig:
     def test_defaults_scheme_i(self):
         spec = parse_config(MINIMAL)
-        assert spec.base.gamma2 == 6.0
-        assert spec.base.gamma3 == 1.0
-        assert spec.base.omega1 == 6.0
+        assert spec.axis1.base.gamma2 == 6.0
+        assert spec.axis1.base.gamma3 == 1.0
+        assert spec.axis1.base.omega1 == 6.0
         assert spec.path == "sweep.csv"
 
     def test_defaults_scheme_ii(self):
         spec = parse_config(MINIMAL.replace("scheme = I", "scheme = II"))
-        assert spec.base.gamma3 == 0.0
+        assert spec.axis1.base.gamma3 == 0.0
 
     def test_overrides(self):
         spec = parse_config(MINIMAL.replace("[sweep]", "[sweep]\nomega1 = 3.5\ngamma3 = 0.2"))
-        assert spec.base.omega1 == 3.5
-        assert spec.base.gamma3 == 0.2
+        assert spec.axis1.base.omega1 == 3.5
+        assert spec.axis1.base.gamma3 == 0.2
 
     def test_out_of_range_value(self):
         with pytest.raises(ConfigError):
@@ -110,12 +109,9 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("outputs = purity", "outputs = entropy"))
 
     def test_duplicate_axis_parameter(self):
-        with pytest.raises(ConfigError):
-            spec_2d().__class__(  # rebuild with both axes on delta1
-                spec_2d().base,
-                AxisSpec("delta1", -1, 1, 3), AxisSpec("delta1", 2, 6, 2),
-                ("purity",), "x.csv",
-            )
+        base = spec_2d().axis1.base
+        with pytest.raises(ConfigError, match="different parameters"):
+            SweepSpec(PathSpec(base, "delta1", -1, 1, 3), PathSpec(base, "delta1", 2, 6, 2), ("purity",), "x.csv")
 
     @pytest.mark.parametrize("text, message", [
         (MINIMAL.replace("[sweep]", "[sweep]\nomega1 = six"), "is not a number"),
@@ -127,23 +123,29 @@ class TestParseConfig:
         (MINIMAL.replace("samples = 5", "samples = 2.5"), "samples must be an integer"),
         (MINIMAL.replace("outputs = purity", "outputs ="), "at least one output"),
         (MINIMAL.replace("parameter = delta1", "parameter = omega1"),
-         "grid corner omega1 = -1.0: Rabi frequencies must be >= 0"),
+         "^\\[axis1\\]: omega1 = -1.0: Rabi frequencies must be >= 0$"),
         (MINIMAL.replace("start = -1", "start = -1e308").replace("stop = 1\n", "stop = 1e308\n"),
          "axis span stop - start must be finite"),
         (MINIMAL.replace("[sweep]", "[sweep]\ndelta2 = 1e308").replace("stop = 1\n", "stop = 1e308\n"),
-         "grid corner delta1 = 1e\\+308: delta1 \\+ delta2 must be finite"),
+         "^\\[axis1\\]: delta1 = 1e\\+308: delta1 \\+ delta2 must be finite, got 1e\\+308 \\+ 1e\\+308$"),
+        # each axis is valid from the base point; only the corner where both reach 1e308 is not
+        (MINIMAL.replace("stop = 1\n", "stop = 1e308\n") + "\n[axis2]\nparameter = delta2\nstart = 0\nstop = 1e308\n"
+         "samples = 2\n",
+         "^grid corner delta1 = 1e\\+308, delta2 = 1e\\+308: delta1 \\+ delta2 must be finite, got 1e\\+308 "
+         "\\+ 1e\\+308$"),
         (MINIMAL.replace("outputs = purity", "outputs = purity, purity, concurrence"), "duplicate output 'purity'"),
         (MINIMAL.replace("[sweep]", "[sweep]\npath = /abs/escaped.csv"), "plain file name, got '/abs/escaped.csv'"),
         (MINIMAL.replace("[sweep]", "[sweep]\npath = sub/out.csv"), "plain file name, got 'sub/out.csv'"),
         (MINIMAL.replace("[sweep]", "[sweep]\npath = ../out.csv"), "plain file name, got '../out.csv'"),
         (MINIMAL.replace("[sweep]", "[sweep]\npath ="), "plain file name, got ''"),
         (MINIMAL.replace("[sweep]", "[sweep]\npath = .."), "plain file name, got '..'"),
+        (MINIMAL.replace("[sweep]", "[sweep]\npath = a\0b.csv"), "plain file name, got 'a\\\\x00b.csv'"),
         (MINIMAL.replace("[sweep]", "[sweep]\ndelta1 = 2"), "key 'delta1' sets the parameter that \\[axis1\\] sweeps"),
     ], ids=["non_numeric", "non_finite", "no_header", "no_sweep", "unknown_scheme",
             "missing_axis_key", "non_integer_samples", "empty_outputs",
-            "negative_drive_axis", "infinite_axis_span", "detuning_sum_overflow",
+            "negative_drive_axis", "infinite_axis_span", "detuning_sum_overflow", "joint_grid_corner",
             "duplicate_output", "absolute_path", "path_in_subdirectory", "path_in_parent", "empty_path",
-            "parent_directory_path", "swept_key"])
+            "parent_directory_path", "nul_in_path", "swept_key"])
     def test_rejected_config(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
@@ -151,8 +153,9 @@ class TestParseConfig:
 
 @pytest.mark.parametrize("parameter, start, stop, samples", [
     ("banana", -1.0, 1.0, 5), ("delta1", 1.0, 1.0, 5), ("delta1", -1e308, 1e308, 5), ("delta1", -1.0, 1.0, 1),
-    ("delta1", 0.0, 5e-324, 3), ("delta1", 1.0, 1.0000000000000002, 3),
-], ids=["unknown_parameter", "empty_range", "infinite_span", "one_sample", "subnormal_span", "one_ulp_span"])
+    ("delta1", 0.0, 5e-324, 3), ("delta1", 1.0, 1.0000000000000002, 3), ("omega1", -1.0, 1.0, 5),
+], ids=["unknown_parameter", "empty_range", "infinite_span", "one_sample", "subnormal_span", "one_ulp_span",
+        "negative_drive_end"])
 def test_path_and_config_share_the_axis_check(parameter, start, stop, samples):
     with pytest.raises(ValueError) as path_err:
         PathSpec(SystemParams(6.0, 6.0), parameter, start, stop, samples)
@@ -358,10 +361,10 @@ def test_map_columns_raises_the_error_of_the_first_failing_payload():
 def test_map_columns_under_spawn_matches_in_process(monkeypatch, tmp_path):
     # spawn is the default start method on macOS and Windows, which pickle the function, payloads and pipes
     monkeypatch.setattr(gpdiag.sweep, "_context", lambda: multiprocessing.get_context("spawn"))
-    bases = [SystemParams(omega1, 6.0) for omega1 in (2.0, 4.0, 6.0)]
-    axis, outputs = AxisSpec("delta1", -1.0, 1.0, 5), ("purity", "gamma_g")
-    _, serial = path_columns(bases, axis, outputs, jobs=1)
-    _, spawned = path_columns(bases, axis, outputs, jobs=2)
+    paths = [PathSpec(SystemParams(omega1, 6.0), "delta1", -1.0, 1.0, 5) for omega1 in (2.0, 4.0, 6.0)]
+    outputs = ("purity", "gamma_g")
+    serial = path_columns(paths, outputs, jobs=1)
+    spawned = path_columns(paths, outputs, jobs=2)
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(serial, spawned, strict=True))
     # fig4 maps its own column function, whose payloads carry reference states
     runs = [run_recipe("fig4", tmp_path / str(jobs), samples=3, jobs=jobs).files for jobs in (1, 2)]
