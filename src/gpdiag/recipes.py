@@ -21,14 +21,7 @@ from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_
 from gpdiag.gp import PathSpec, gp_derivative, two_point_phases, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import NoSteadyStateError
-from gpdiag.sweep import RunResult, map_columns, path_columns, photon_states, write_tables
-
-# fewest samples per axis of each recipe; fig4 and fig5 differentiate along it,
-# which takes 3 points; at 2 samples the transport correction cancels the only
-# overlap phase, so every fig6 endpoint gamma_g is 0 up to rounding
-MIN_SAMPLES = {"fig2": 2, "fig3a": 2, "fig3b": 2, "fig4": 3, "fig5": 3, "fig6": 3}
-RECIPE_IDS = tuple(MIN_SAMPLES)
-
+from gpdiag.sweep import ConfigError, RunResult, map_columns, path_columns, photon_states, write_tables
 
 # Each recipe runs as run(recipe_id, table, samples, jobs, gamma2, gamma3) and
 # returns (tables, entries): one sweep.write_tables table per CSV, and the
@@ -198,29 +191,35 @@ def _run_fig6(recipe_id, t, samples, jobs, gamma2, gamma3):
         {"path_samples": samples, "gamma3": gamma3, "reference_gamma_g": base}
 
 
-# recipe id: (run, frozen-input table)
+# recipe id: (run, frozen-input table, fewest samples per axis); fig4 and fig5
+# differentiate along the axis, which takes 3 points; at 2 samples the transport
+# correction cancels the only overlap phase, so every fig6 endpoint gamma_g is 0
+# up to rounding
 _RECIPES = {
-    "fig2": (_run_fig2, _FIG2),
-    "fig3a": (_run_fig3, {**_FIG3, "scheme": "II"}),
-    "fig3b": (_run_fig3, {**_FIG3, "scheme": "I"}),
-    "fig4": (_run_fig4, _FIG4),
-    "fig5": (_run_fig5, _FIG5),
-    "fig6": (_run_fig6, _FIG6),
+    "fig2": (_run_fig2, _FIG2, 2),
+    "fig3a": (_run_fig3, {**_FIG3, "scheme": "II"}, 2),
+    "fig3b": (_run_fig3, {**_FIG3, "scheme": "I"}, 2),
+    "fig4": (_run_fig4, _FIG4, 3),
+    "fig5": (_run_fig5, _FIG5, 3),
+    "fig6": (_run_fig6, _FIG6, 3),
 }
+RECIPE_IDS = tuple(_RECIPES)
+MIN_SAMPLES = {recipe_id: need for recipe_id, (_, _, need) in _RECIPES.items()}
 
 
 def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
                gamma2: float = DEFAULT_GAMMA2, gamma3: float = DEFAULT_GAMMA3_REAL) -> RunResult:
     """Execute a figure recipe; returns the written CSVs, then the sidecar, and the undefined-point count.
 
-    Raises NoSteadyStateError when no point of the recipe produced a value.
+    Raises ConfigError for an unknown id or too few samples, before any solve, and NoSteadyStateError when no
+    point of the recipe produced a value.
     """
-    if recipe_id not in RECIPE_IDS:
-        raise ValueError(f"unknown recipe {recipe_id!r}; expected one of {RECIPE_IDS}")
-    if samples < MIN_SAMPLES[recipe_id]:
-        raise ValueError(f"{recipe_id} needs samples >= {MIN_SAMPLES[recipe_id]}, got {samples}")
+    if recipe_id not in _RECIPES:
+        raise ConfigError(f"unknown recipe {recipe_id!r}; expected one of {RECIPE_IDS}")
+    run, table, need = _RECIPES[recipe_id]
+    if samples < need:
+        raise ConfigError(f"{recipe_id} needs samples >= {need}, got {samples}")
     out_dir = Path(out_dir)
-    run, table = _RECIPES[recipe_id]
     tables, entries = run(recipe_id, table, samples, jobs, gamma2, gamma3)
     result = write_tables(out_dir, tables, "recipe")
     meta = out_dir / f"{recipe_id}_meta.json"

@@ -11,6 +11,7 @@ count.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import traceback
 from dataclasses import dataclass, replace
@@ -32,10 +33,12 @@ SCHEMES = ("I", "II", "custom")
 _PARAM_KEYS = ("omega1", "omega2", "delta1", "delta2", "gamma2", "gamma3")
 _SWEEP_KEYS = ("scheme", "path", "outputs", *_PARAM_KEYS)
 _AXIS_KEYS = ("parameter", "start", "stop", "samples")
+# the longest file name, in bytes, of ext4, xfs, btrfs, tmpfs and APFS
+NAME_MAX = 255
 
 
 class ConfigError(ValueError):
-    """Malformed sweep configuration (carries a line number when known)."""
+    """Malformed sweep configuration (carries a line number when known), or a recipe argument out of range."""
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,9 @@ class SweepSpec:
         # the CSV is written inside the output directory, so path names a file there; no file name holds a NUL
         if self.path in ("", ".", "..") or "\0" in self.path or Path(self.path).name != self.path:
             raise ConfigError(f"path must be a plain file name, got {self.path!r}")
+        # a name the file system refuses would fail only when the CSV is opened, after the whole sweep
+        if (size := len(os.fsencode(self.path))) > NAME_MAX:
+            raise ConfigError(f"path must be at most {NAME_MAX} bytes, got {size}")
         if "dgamma" in self.outputs and self.axis1.samples < 3:
             raise ConfigError(f"output dgamma needs axis1 samples >= 3, got {self.axis1.samples}")
         if self.axis2 is None:

@@ -154,13 +154,12 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("recipe_id", ["fig4", "fig5", "fig6"])
     def test_derivative_recipe_two_samples(self, recipe_id, tmp_path, capsys):
-        code = run_cli(["recipe", recipe_id, "--samples", "2", "--out", str(tmp_path),
+        # run_recipe checks the sample count, before the output directory is created
+        code = run_cli(["recipe", recipe_id, "--samples", "2", "--out", str(tmp_path / "out"),
                         "--jobs", "1"])
-        err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("gpdiag recipe: error: argument --samples:")
-        assert err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == f"gpdiag: config error: {recipe_id} needs samples >= 3, got 2\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:
@@ -659,10 +658,12 @@ def _parser_names_a_line(data):
 @settings(derandomize=True, max_examples=400, deadline=5000)
 @given(mutations=st.lists(_CONFIG_MUTATIONS, max_size=4), newline=st.sampled_from(["\n", "\r\n", "\r"]),
        junk=st.none() | st.tuples(st.integers(0, 400), _INVALID_UTF8))
-# drives whose generator overflows, an axis1 span too narrow for 3 distinct samples, and a NUL in the file name
+# drives whose generator overflows, an axis1 span too narrow for 3 distinct samples, a NUL in the file name and a
+# 300-byte file name
 @example(mutations=[("value", 2, "1.7e+308"), ("value", 3, "1.7e+308")], newline="\n", junk=None)
 @example(mutations=[("value", 9, "0"), ("value", 10, "5e-324")], newline="\n", junk=None)
 @example(mutations=[("value", 5, "a\0b.csv")], newline="\n", junk=None)
+@example(mutations=[("value", 5, "x" * 296 + ".csv")], newline="\n", junk=None)
 def test_mutated_sweep_config_exits_cleanly(mutations, newline, junk):
     # exit 0, 1 or 2 with at most one stderr line and no traceback, and an output directory only on exit 0;
     # exit 1 names the line the reader knows

@@ -29,15 +29,19 @@ def fig2_dir(tmp_path_factory):
 
 
 def test_unknown_recipe_rejected(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         run_recipe("fig7", tmp_path)
+    assert type(err.value) is gpdiag.sweep.ConfigError
+    assert str(err.value) == f"unknown recipe 'fig7'; expected one of {RECIPE_IDS}"
 
 
-@pytest.mark.parametrize("recipe_id", ["fig4", "fig5"])
+@pytest.mark.parametrize("recipe_id", ["fig4", "fig5", "fig6"])
 def test_derivative_recipe_needs_three_samples(tmp_path, recipe_id):
-    with pytest.raises(ValueError, match=f"{recipe_id} needs samples >= 3"):
-        run_recipe(recipe_id, tmp_path, samples=2, jobs=1)
-    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError) as err:
+        run_recipe(recipe_id, tmp_path / "out", samples=2, jobs=1)
+    assert type(err.value) is gpdiag.sweep.ConfigError
+    assert str(err.value) == f"{recipe_id} needs samples >= 3, got 2"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("recipe_id", ["fig2", "fig3a"])

@@ -141,14 +141,23 @@ class TestParseConfig:
         (MINIMAL.replace("[sweep]", "[sweep]\npath = .."), "plain file name, got '..'"),
         (MINIMAL.replace("[sweep]", "[sweep]\npath = a\0b.csv"), "plain file name, got 'a\\\\x00b.csv'"),
         (MINIMAL.replace("[sweep]", "[sweep]\ndelta1 = 2"), "key 'delta1' sets the parameter that \\[axis1\\] sweeps"),
+        (MINIMAL.replace("[sweep]", "[sweep]\npath = " + "x" * 252 + ".csv"),
+         "^path must be at most 255 bytes, got 256$"),
+        # the limit counts the bytes of the encoded name: 130 characters here
+        (MINIMAL.replace("[sweep]", "[sweep]\npath = " + "\u00e9" * 126 + ".csv"), "at most 255 bytes, got 256$"),
     ], ids=["non_numeric", "non_finite", "no_header", "no_sweep", "unknown_scheme",
             "missing_axis_key", "non_integer_samples", "empty_outputs",
             "negative_drive_axis", "infinite_axis_span", "detuning_sum_overflow", "joint_grid_corner",
             "duplicate_output", "absolute_path", "path_in_subdirectory", "path_in_parent", "empty_path",
-            "parent_directory_path", "nul_in_path", "swept_key"])
+            "parent_directory_path", "nul_in_path", "swept_key", "path_over_name_max",
+            "multibyte_path_over_name_max"])
     def test_rejected_config(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
+
+    def test_path_at_name_max(self):
+        name = "x" * 251 + ".csv"
+        assert parse_config(MINIMAL.replace("[sweep]", f"[sweep]\npath = {name}")).path == name
 
 
 @pytest.mark.parametrize("parameter, start, stop, samples", [
