@@ -23,9 +23,17 @@ _LOWER_21 = np.outer(_I3[0], _I3[1])   # |1><2|
 _LOWER_32 = np.outer(_I3[1], _I3[2])   # |2><3|
 
 
+class ConfigError(ValueError):
+    """An invalid parameter value, path, sweep configuration or recipe argument, in one line."""
+
+
 @dataclass(frozen=True)
 class SystemParams:
-    """Control and decay parameters of the driven cascade (units of gamma = 1 MHz)."""
+    """Control and decay parameters of the driven cascade (units of gamma = 1 MHz); the one check of a value.
+
+    Every field is finite, so is delta1 + delta2, and the drives omega1, omega2 and the decay rates gamma2, gamma3
+    are >= 0; any other value raises ConfigError, naming the field and the value.
+    """
 
     omega1: float
     omega2: float
@@ -38,13 +46,12 @@ class SystemParams:
         for name in ("omega1", "omega2", "delta1", "delta2", "gamma2", "gamma3"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if not math.isfinite(self.delta1 + self.delta2):
-            raise ValueError(f"delta1 + delta2 must be finite, got {self.delta1!r} + {self.delta2!r}")
-        if self.omega1 < 0 or self.omega2 < 0:
-            raise ValueError("Rabi frequencies must be >= 0")
-        if self.gamma2 < 0 or self.gamma3 < 0:
-            raise ValueError("decay rates must be >= 0")
+            raise ConfigError(f"delta1 + delta2 must be finite, got {self.delta1!r} + {self.delta2!r}")
+        for name in ("omega1", "omega2", "gamma2", "gamma3"):
+            if (value := getattr(self, name)) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value!r}")
 
 
 def build_hamiltonian(p: SystemParams) -> np.ndarray:

@@ -13,16 +13,17 @@ Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
-from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
+from gpdiag.cascade import (
+    DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, ConfigError, SystemParams, steady_state,
+)
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 from gpdiag.recipes import RECIPE_IDS, run_recipe
-from gpdiag.sweep import ConfigError, RunResult, parse_config, run_sweep
+from gpdiag.sweep import NAME_MAX, RunResult, parse_config, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,23 +33,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _checked(convert, ok, expected: str):
-    """argparse type: convert(text), rejected with a usage error unless ok(value)."""
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {expected}")
-        return value
-    return parse
-
-
-_finite = _checked(float, math.isfinite, "a finite number")
-_non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
-_samples = _checked(int, lambda v: v >= 2, "an integer >= 2")
-_jobs = _checked(int, lambda v: v >= 1, "an integer >= 1")
+def _jobs(text: str) -> int:
+    """argparse type of --jobs, the one flag no model type checks: an integer >= 1, else a usage error."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return jobs
 
 
 def _build_parser() -> _Parser:
@@ -71,13 +64,13 @@ def _build_parser() -> _Parser:
                 {"help": "decay of the top level, replacing the config's gamma3 in every scheme"})
 
     steady = sub.add_parser("steady", help="print one steady state")
-    steady.add_argument("--omega1", type=_non_negative, required=True)
-    steady.add_argument("--omega2", type=_non_negative, required=True)
-    steady.add_argument("--delta1", type=_finite, default=0.0)
-    steady.add_argument("--delta2", type=_finite, default=0.0)
+    steady.add_argument("--omega1", type=float, required=True)
+    steady.add_argument("--omega2", type=float, required=True)
+    steady.add_argument("--delta1", type=float, default=0.0)
+    steady.add_argument("--delta2", type=float, default=0.0)
     steady.add_argument("--scheme", choices=("I", "II"), default="I")
-    steady.add_argument("--gamma2", type=_non_negative, default=DEFAULT_GAMMA2)
-    steady.add_argument("--gamma3", type=_non_negative, default=None,
+    steady.add_argument("--gamma2", type=float, default=DEFAULT_GAMMA2)
+    steady.add_argument("--gamma3", type=float, default=None,
                         help="decay of the top level (default: 1 for scheme I, 0 for scheme II)")
     return parser
 
@@ -86,12 +79,12 @@ def _add_common(sub, samples, gamma2, gamma3):
     """The flags of recipe and sweep, in help order: --out and --jobs are the same for both, and samples, gamma2
     and gamma3 hold the command's own default and help of --samples, --gamma2 and --gamma3."""
     sub.add_argument("--out", default="./out", help="output directory (default ./out)")
-    sub.add_argument("--samples", type=_samples, **samples)
+    sub.add_argument("--samples", type=int, **samples)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     sub.add_argument("--jobs", type=_jobs, default=cpus,
                      help="worker processes, at most one per column (default: the processors this process may use)")
-    sub.add_argument("--gamma2", type=_non_negative, **gamma2)
-    sub.add_argument("--gamma3", type=_non_negative, **gamma3)
+    sub.add_argument("--gamma2", type=float, **gamma2)
+    sub.add_argument("--gamma3", type=float, **gamma3)
 
 
 def _report(result: RunResult) -> int:
@@ -126,11 +119,7 @@ def _cmd_steady(args) -> int:
     gamma3 = args.gamma3
     if gamma3 is None:
         gamma3 = DEFAULT_GAMMA3_IDEAL if args.scheme == "II" else DEFAULT_GAMMA3_REAL
-    try:
-        p = SystemParams(args.omega1, args.omega2, args.delta1, args.delta2, args.gamma2, gamma3)
-    except ValueError as err:
-        print(f"gpdiag steady: error: {err}", file=sys.stderr)
-        return 1
+    p = SystemParams(args.omega1, args.omega2, args.delta1, args.delta2, args.gamma2, gamma3)
     rho = atomic_to_photon(steady_state(p))
     lam = hermitian_eig(rho).eigenvalues[::-1]
     print("two-photon density matrix (basis |00>, |01>, |11>):")
@@ -143,9 +132,12 @@ def _cmd_steady(args) -> int:
 
 
 def _check_out(out: str) -> None:
-    """Raise OSError unless the nearest existing ancestor of `out` is a writable directory; creates nothing."""
+    """Raise OSError unless each missing component of `out` is a name of at most NAME_MAX bytes and its nearest
+    existing ancestor is a writable directory; creates nothing."""
     path = Path(out).absolute()
-    while not path.exists():
+    while not os.path.exists(path):  # False for a name too long to look up, where Path.exists raises on Python 3.11
+        if (size := len(os.fsencode(path.name))) > NAME_MAX:
+            raise OSError(f"--out {out}: a directory name must be at most {NAME_MAX} bytes, got {size}")
         path = path.parent
     if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
         raise OSError(f"--out {out}: {path} is not a writable directory")

@@ -20,7 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams, steady_state
+from gpdiag.cascade import (
+    DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, ConfigError, SystemParams, steady_state,
+)
 from gpdiag.gp import PathSpec, gp_curve_from_states, gp_derivative
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
@@ -35,10 +37,6 @@ _SWEEP_KEYS = ("scheme", "path", "outputs", *_PARAM_KEYS)
 _AXIS_KEYS = ("parameter", "start", "stop", "samples")
 # the longest file name, in bytes, of ext4, xfs, btrfs, tmpfs and APFS
 NAME_MAX = 255
-
-
-class ConfigError(ValueError):
-    """Malformed sweep configuration (carries a line number when known), or a recipe argument out of range."""
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,8 @@ class SweepSpec:
         for value in (self.axis1.start, self.axis1.stop):
             try:
                 replace(self.axis2, base=self.axis1.params_at(value))
-            except ValueError as err:
-                raise ConfigError(f"grid corner {self.axis1.varying} = {value!r}, {err}") from err
+            except ConfigError as err:
+                raise ConfigError(f"grid corner {self.axis1.varying} = {value!r}: {err}") from err
 
 
 def _get_float(section, key, lineno_hint) -> float:
@@ -124,10 +122,7 @@ def parse_config(text: str, samples: int | None = None, gamma2: float | None = N
     overrides |= {key: value for key, value in (("gamma2", gamma2), ("gamma3", gamma3)) if value is not None}
     # the defaults of a scheme: omega1 = omega2 = 6 on resonance, with its decay rates
     default_gamma3 = DEFAULT_GAMMA3_IDEAL if scheme == "II" else DEFAULT_GAMMA3_REAL
-    try:
-        base = replace(SystemParams(6.0, 6.0, 0.0, 0.0, DEFAULT_GAMMA2, default_gamma3), **overrides)
-    except ValueError as err:
-        raise ConfigError(f"[sweep]: {err}") from err
+    base = replace(SystemParams(6.0, 6.0, 0.0, 0.0, DEFAULT_GAMMA2, default_gamma3), **overrides)
     outputs = tuple(token.strip() for token in sweep.get("outputs", "purity").split(",") if token.strip())
 
     def axis_from(section_name):
@@ -142,9 +137,9 @@ def parse_config(text: str, samples: int | None = None, gamma2: float | None = N
         start, stop = (_get_float(section, key, f"[{section_name}]") for key in ("start", "stop"))
         try:
             return PathSpec(base, section["parameter"].strip(), start, stop, count if samples is None else samples)
-        except ValueError as err:
-            # --samples is at least 2, so of the axis checks only the distinct-sample one can fault it
-            flagged = samples is not None and "distinct samples" in str(err)
+        except ConfigError as err:
+            # of the axis checks only the two of the sample count start with "axis" and name samples
+            flagged = samples is not None and str(err).startswith("axis") and "samples" in str(err)
             raise ConfigError(f"{f'--samples {samples}' if flagged else f'[{section_name}]'}: {err}") from err
 
     axis1 = axis_from("axis1")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ideal_oracle as oracle
 from conftest import edge_or, random_density, random_params
-from gpdiag.cascade import (DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, SystemParams,
+from gpdiag.cascade import (DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, ConfigError, SystemParams,
                             build_hamiltonian, lindblad_rhs, liouvillian, steady_state)
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import concurrence, purity
@@ -35,8 +35,20 @@ class TestParams:
         with pytest.raises(ValueError):
             SystemParams(float("nan"), 1.0)
 
+    # every field must be finite, and every field but the detunings >= 0
+    @pytest.mark.parametrize("field, value, rule", [
+        (field, value, rule) for field in ("omega1", "omega2", "delta1", "delta2", "gamma2", "gamma3")
+        for value, rule in ((-1.0, ">= 0"), (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"))
+        if rule == "finite" or not field.startswith("delta")])
+    def test_every_field_is_checked_by_name(self, field, value, rule):
+        # the one check of a parameter value: the CLI, the sweep config and the recipes all print this message
+        with pytest.raises(ConfigError) as err:
+            replace(SystemParams(1.0, 1.0), **{field: value})
+        assert type(err.value) is ConfigError
+        assert str(err.value) == f"{field} must be {rule}, got {value!r}"
+
     def test_two_photon_detuning_must_be_finite(self):
-        with pytest.raises(ValueError, match="delta1 \\+ delta2 must be finite"):
+        with pytest.raises(ConfigError, match="^delta1 \\+ delta2 must be finite, got 1e\\+308 \\+ 1e\\+308$"):
             SystemParams(1.0, 1.0, delta1=1e308, delta2=1e308)
         assert oracle.two_photon_detuning(SystemParams(1.0, 1.0, delta1=1e308, delta2=-1e308)) == 0.0
 

@@ -62,7 +62,7 @@ class TestSteady:
     def test_detuning_sum_overflow_is_usage_error(self, capsys):
         code = run_cli(["steady", "--omega1", "1", "--omega2", "1", "--delta1", "1e308", "--delta2", "1e308"])
         assert code == 1
-        assert capsys.readouterr().err == "gpdiag steady: error: delta1 + delta2 must be finite, got 1e+308 + 1e+308\n"
+        assert capsys.readouterr().err == "gpdiag: config error: delta1 + delta2 must be finite, got 1e+308 + 1e+308\n"
 
     def test_overflowing_drive_is_numerical_failure(self, capsys):
         # the scaled generator does not overflow; beside these drives the decay rates fall below the rank threshold
@@ -119,25 +119,43 @@ class TestUsageErrors:
     def test_unknown_recipe_id(self, capsys):
         assert run_cli(["recipe", "fig9"]) == 1
 
-    def test_too_few_samples(self, capsys):
-        assert run_cli(["recipe", "fig2", "--samples", "1"]) == 1
-        assert "--samples" in capsys.readouterr().err
+    # a value out of range is one config error line from the model's own check; only text that is not a number
+    # is a usage error
+    def test_too_few_samples(self, tmp_path, capsys):
+        assert run_cli(["recipe", "fig2", "--samples", "1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "gpdiag: config error: fig2 needs samples >= 2, got 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_negative_drive(self, capsys):
         assert run_cli(["steady", "--omega1", "-1", "--omega2", "6"]) == 1
-        assert "--omega1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "gpdiag: config error: omega1 must be >= 0, got -1.0\n"
 
     def test_nan_drive(self, capsys):
         assert run_cli(["steady", "--omega1", "nan", "--omega2", "6"]) == 1
-        assert "--omega1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "gpdiag: config error: omega1 must be finite, got nan\n"
 
-    def test_negative_decay_rate(self, capsys):
-        assert run_cli(["recipe", "fig2", "--gamma2", "-1"]) == 1
-        assert "--gamma2" in capsys.readouterr().err
+    def test_negative_decay_rate(self, tmp_path, capsys):
+        assert run_cli(["recipe", "fig2", "--gamma2", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "gpdiag: config error: gamma2 must be >= 0, got -1.0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_rate_a_recipe_does_not_use_is_checked(self, tmp_path, capsys):
+        # fig3a is scheme II, so it never reads gamma3; run_recipe checks the value all the same
+        assert run_cli(["recipe", "fig3a", "--gamma3", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "gpdiag: config error: gamma3 must be >= 0, got -1.0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_non_integer_samples(self, capsys):
         assert run_cli(["recipe", "fig2", "--samples", "abc"]) == 1
-        assert "'abc' is not an integer >= 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gpdiag recipe ")
+        assert err.endswith("\ngpdiag recipe: error: argument --samples: invalid int value: 'abc'\n")
+
+    def test_non_integer_jobs(self, capsys):
+        # no model type owns --jobs, so its usage error keeps the wording of a number out of range
+        assert run_cli(["recipe", "fig2", "--jobs", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\ngpdiag recipe: error: argument --jobs: 'abc' is not an integer >= 1\n")
 
     @pytest.mark.parametrize("command", [["recipe", "fig2"], ["sweep", "--config", "sweep.ini"]],
                              ids=["recipe", "sweep"])
@@ -368,6 +386,22 @@ samples = 9
             "gpdiag: config error: --samples 30: axis [0.0, 5e-323] does not hold 30 distinct samples\n")
         assert not out.exists()
 
+    def test_samples_flag_below_two_names_the_flag(self, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D)
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(config), "--out", str(out), "--samples", "1"]) == 1
+        assert capsys.readouterr().err == "gpdiag: config error: --samples 1: axis samples must be >= 2, got 1\n"
+        assert not out.exists()
+
+    def test_rate_flag_out_of_range_is_not_blamed_on_the_config(self, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D)
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(config), "--out", str(out), "--gamma2", "-1"]) == 1
+        assert capsys.readouterr().err == "gpdiag: config error: gamma2 must be >= 0, got -1.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, config_value, flag_value", [
         ("samples", "2", "5"), ("samples", "1", "5"), ("gamma2", "-1", "6"),
     ], ids=["dgamma_samples", "one_sample", "negative_gamma2"])
@@ -503,6 +537,27 @@ class TestRecipeCommand:
         assert calls == []
         assert err == f"gpdiag: i/o error: --out {tmp_path / out}: {tmp_path / 'blocked'} is not a writable directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "sweep.ini"]
+
+    @pytest.mark.parametrize("command", ["recipe", "sweep"])
+    def test_out_name_over_name_max_fails_before_any_steady_state(self, command, tmp_path, capsys, monkeypatch):
+        # mkdir would refuse the name only after the whole run, and leave the directories above it behind
+        calls = []
+        monkeypatch.setattr(gpdiag.sweep, "steady_state", lambda p: calls.append(p))
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D)
+        out = tmp_path / "new" / ("y" * 256) / "z"
+        argv = ["recipe", "fig2"] if command == "recipe" else ["sweep", "--config", str(config)]
+        assert run_cli(argv + ["--out", str(out), "--samples", "3", "--jobs", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"gpdiag: i/o error: --out {out}: a directory name must be at most 255 bytes, got 256\n")
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
+
+    def test_out_name_at_name_max_is_made(self, tmp_path, capsys):
+        out = tmp_path / ("y" * 255)
+        assert run_cli(["recipe", "fig2", "--out", str(out), "--samples", "3", "--jobs", "1"]) == 0
+        capsys.readouterr()
+        assert (out / "fig2_meta.json").is_file()
 
     def test_no_value_exit_code(self, tmp_path, capsys):
         code = run_cli(["recipe", "fig3a", "--out", str(tmp_path), "--samples", "3",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gpdiag.cascade import SystemParams
+from gpdiag.cascade import ConfigError, SystemParams
 from gpdiag.gp import (
     EPS_LAMBDA,
     EPS_VIS,
@@ -70,7 +70,8 @@ class TestPathSpec:
             dataclasses.replace(BELL, omega1=-1.0)
         with pytest.raises(ValueError) as err:
             spec.params_at(-1.0)
-        assert str(err.value) == str(expected.value) == "Rabi frequencies must be >= 0"
+        assert str(err.value) == str(expected.value) == "omega1 must be >= 0, got -1.0"
+        assert type(err.value) is type(expected.value) is ConfigError
 
     def test_two_point_path(self):
         states = sample_path(PathSpec(BELL, "delta1", -1.0, 1.0, 2))

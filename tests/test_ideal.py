@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 import gpdiag.ideal
 import ideal_oracle as oracle

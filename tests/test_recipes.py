@@ -1,7 +1,5 @@
 import json
-import math
 
-import numpy as np
 import pytest
 
 import gpdiag.sweep

@@ -123,16 +123,15 @@ class TestParseConfig:
         (MINIMAL.replace("samples = 5", "samples = 2.5"), "samples must be an integer"),
         (MINIMAL.replace("outputs = purity", "outputs ="), "at least one output"),
         (MINIMAL.replace("parameter = delta1", "parameter = omega1"),
-         "^\\[axis1\\]: omega1 = -1.0: Rabi frequencies must be >= 0$"),
+         "^\\[axis1\\]: omega1 must be >= 0, got -1.0$"),
         (MINIMAL.replace("start = -1", "start = -1e308").replace("stop = 1\n", "stop = 1e308\n"),
          "axis span stop - start must be finite"),
         (MINIMAL.replace("[sweep]", "[sweep]\ndelta2 = 1e308").replace("stop = 1\n", "stop = 1e308\n"),
-         "^\\[axis1\\]: delta1 = 1e\\+308: delta1 \\+ delta2 must be finite, got 1e\\+308 \\+ 1e\\+308$"),
+         "^\\[axis1\\]: delta1 \\+ delta2 must be finite, got 1e\\+308 \\+ 1e\\+308$"),
         # each axis is valid from the base point; only the corner where both reach 1e308 is not
         (MINIMAL.replace("stop = 1\n", "stop = 1e308\n") + "\n[axis2]\nparameter = delta2\nstart = 0\nstop = 1e308\n"
          "samples = 2\n",
-         "^grid corner delta1 = 1e\\+308, delta2 = 1e\\+308: delta1 \\+ delta2 must be finite, got 1e\\+308 "
-         "\\+ 1e\\+308$"),
+         "^grid corner delta1 = 1e\\+308: delta1 \\+ delta2 must be finite, got 1e\\+308 \\+ 1e\\+308$"),
         (MINIMAL.replace("outputs = purity", "outputs = purity, purity, concurrence"), "duplicate output 'purity'"),
         (MINIMAL.replace("[sweep]", "[sweep]\npath = /abs/escaped.csv"), "plain file name, got '/abs/escaped.csv'"),
         (MINIMAL.replace("[sweep]", "[sweep]\npath = sub/out.csv"), "plain file name, got 'sub/out.csv'"),
