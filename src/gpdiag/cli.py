@@ -23,7 +23,7 @@ from gpdiag.cascade import (
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon, concurrence, purity
 from gpdiag.recipes import RECIPE_IDS, run_recipe
-from gpdiag.sweep import NAME_MAX, RunResult, parse_config, run_sweep
+from gpdiag.sweep import RunResult, parse_config, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,17 +31,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _jobs(text: str) -> int:
-    """argparse type of --jobs, the one flag no model type checks: an integer >= 1, else a usage error."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return jobs
 
 
 def _build_parser() -> _Parser:
@@ -81,7 +70,7 @@ def _add_common(sub, samples, gamma2, gamma3):
     sub.add_argument("--out", default="./out", help="output directory (default ./out)")
     sub.add_argument("--samples", type=int, **samples)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    sub.add_argument("--jobs", type=_jobs, default=cpus,
+    sub.add_argument("--jobs", type=int, default=cpus,
                      help="worker processes, at most one per column (default: the processors this process may use)")
     sub.add_argument("--gamma2", type=float, **gamma2)
     sub.add_argument("--gamma3", type=float, **gamma3)
@@ -131,24 +120,10 @@ def _cmd_steady(args) -> int:
     return 0
 
 
-def _check_out(out: str) -> None:
-    """Raise OSError unless each missing component of `out` is a name of at most NAME_MAX bytes and its nearest
-    existing ancestor is a writable directory; creates nothing."""
-    path = Path(out).absolute()
-    while not os.path.exists(path):  # False for a name too long to look up, where Path.exists raises on Python 3.11
-        if (size := len(os.fsencode(path.name))) > NAME_MAX:
-            raise OSError(f"--out {out}: a directory name must be at most {NAME_MAX} bytes, got {size}")
-        path = path.parent
-    if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
-        raise OSError(f"--out {out}: {path} is not a writable directory")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "steady":
-            _check_out(args.out)  # before any steady state is solved
         if args.command == "recipe":
             return _cmd_recipe(args)
         if args.command == "sweep":

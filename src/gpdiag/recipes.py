@@ -21,7 +21,7 @@ from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_
 from gpdiag.gp import PathSpec, gp_derivative, two_point_phases, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import NoSteadyStateError
-from gpdiag.sweep import RunResult, map_columns, path_columns, photon_states, write_tables
+from gpdiag.sweep import RunResult, check_run, map_columns, path_columns, photon_states, write_tables
 
 # Each recipe runs as run(recipe_id, table, samples, jobs, gamma2, gamma3) and
 # returns (tables, entries): one sweep.write_tables table per CSV, and the
@@ -211,8 +211,8 @@ def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
                gamma2: float = DEFAULT_GAMMA2, gamma3: float = DEFAULT_GAMMA3_REAL) -> RunResult:
     """Execute a figure recipe; returns the written CSVs, then the sidecar, and the undefined-point count.
 
-    Raises ConfigError for an unknown id, too few samples or a decay rate that SystemParams rejects, before any
-    solve, and NoSteadyStateError when no point of the recipe produced a value.
+    Raises ConfigError for an unknown id, too few samples or a decay rate that SystemParams rejects, then what
+    check_run raises, all before any solve, and NoSteadyStateError when no point of the recipe produced a value.
     """
     if recipe_id not in _RECIPES:
         raise ConfigError(f"unknown recipe {recipe_id!r}; expected one of {RECIPE_IDS}")
@@ -220,6 +220,7 @@ def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
     if samples < need:
         raise ConfigError(f"{recipe_id} needs samples >= {need}, got {samples}")
     SystemParams(0.0, 0.0, 0.0, 0.0, gamma2, gamma3)  # checks both rates: fig3a, for one, never uses gamma3
+    check_run(out_dir, jobs)
     out_dir = Path(out_dir)
     tables, entries = run(recipe_id, table, samples, jobs, gamma2, gamma3)
     result = write_tables(out_dir, tables, "recipe")

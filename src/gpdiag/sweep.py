@@ -305,6 +305,27 @@ class RunResult(NamedTuple):
     undefined_points: int
 
 
+def check_run(out_dir, jobs: int) -> None:
+    """The one check of a run's worker count and output directory, before any solve; creates nothing.  Raises
+    ConfigError when jobs < 1, and OSError unless each missing component of out_dir is a name of at most NAME_MAX
+    bytes below a writable directory; any other refusal of the kernel's lookup (a symlink loop, a path over
+    PATH_MAX) is raised as it is."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    path = Path(out_dir).absolute()
+    while True:
+        try:
+            os.stat(path)
+            break
+        except (FileNotFoundError, NotADirectoryError):  # the lookup stops at the first missing component
+            if (size := len(os.fsencode(path.name))) > NAME_MAX:
+                raise OSError(f"output directory {out_dir}: a directory name must be at most {NAME_MAX} bytes, "
+                              f"got {size}") from None
+            path = path.parent
+    if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
+        raise OSError(f"output directory {out_dir}: {path} is not a writable directory")
+
+
 def write_tables(out_dir: Path, tables, source: str) -> RunResult:
     """Write (file name, header, axis1 values, axis2 values, columns) tables into out_dir, each the
     (axis1 samples, axis2 samples, fields) stack of its (axis1 samples, fields) float columns, NaN at gaps.
@@ -323,7 +344,9 @@ def write_tables(out_dir: Path, tables, source: str) -> RunResult:
 
 
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> RunResult:
-    """Execute a sweep and write its one CSV.  Raises NoSteadyStateError if every sample point failed."""
+    """Execute a sweep and write its one CSV.  Raises what check_run raises before any solve, and
+    NoSteadyStateError if every sample point failed."""
+    check_run(out_dir, jobs)
     axis1, axis2 = spec.axis1, spec.axis2
     axis2_values = [None] if axis2 is None else list(axis2.values())
     paths = [axis1 if v is None else replace(axis1, base=axis2.params_at(v)) for v in axis2_values]

@@ -152,18 +152,22 @@ class TestUsageErrors:
         assert err.endswith("\ngpdiag recipe: error: argument --samples: invalid int value: 'abc'\n")
 
     def test_non_integer_jobs(self, capsys):
-        # no model type owns --jobs, so its usage error keeps the wording of a number out of range
+        # --jobs is a plain int, as --samples is: text that is not an integer is argparse's own usage error
         assert run_cli(["recipe", "fig2", "--jobs", "abc"]) == 1
         err = capsys.readouterr().err
-        assert err.endswith("\ngpdiag recipe: error: argument --jobs: 'abc' is not an integer >= 1\n")
+        assert err.startswith("usage: gpdiag recipe ")
+        assert err.endswith("\ngpdiag recipe: error: argument --jobs: invalid int value: 'abc'\n")
 
-    @pytest.mark.parametrize("command", [["recipe", "fig2"], ["sweep", "--config", "sweep.ini"]],
-                             ids=["recipe", "sweep"])
+    @pytest.mark.parametrize("command", ["recipe", "sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one(self, command, jobs, tmp_path, capsys):
-        assert run_cli([*command, "--jobs", jobs, "--out", str(tmp_path)]) == 1
-        assert f"argument --jobs: {jobs!r} is not an integer >= 1" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        # sweep.check_run refuses the count, after the config, which is read and checked first
+        config = tmp_path / "sweep.ini"
+        config.write_text(SWEEP_1D)
+        argv = ["recipe", "fig2"] if command == "recipe" else ["sweep", "--config", str(config)]
+        assert run_cli([*argv, "--jobs", jobs, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"gpdiag: config error: jobs must be >= 1, got {jobs}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
 
     def test_jobs_default_is_the_processors_this_process_may_use(self, monkeypatch):
         # an affinity mask of one CPU, as taskset or a cpuset gives; os.cpu_count() still counts the whole machine
@@ -535,7 +539,8 @@ class TestRecipeCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert calls == []
-        assert err == f"gpdiag: i/o error: --out {tmp_path / out}: {tmp_path / 'blocked'} is not a writable directory\n"
+        assert err == (f"gpdiag: i/o error: output directory {tmp_path / out}: {tmp_path / 'blocked'} "
+                       "is not a writable directory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "sweep.ini"]
 
     @pytest.mark.parametrize("command", ["recipe", "sweep"])
@@ -549,7 +554,7 @@ class TestRecipeCommand:
         argv = ["recipe", "fig2"] if command == "recipe" else ["sweep", "--config", str(config)]
         assert run_cli(argv + ["--out", str(out), "--samples", "3", "--jobs", "1"]) == 1
         assert capsys.readouterr().err == (
-            f"gpdiag: i/o error: --out {out}: a directory name must be at most 255 bytes, got 256\n")
+            f"gpdiag: i/o error: output directory {out}: a directory name must be at most 255 bytes, got 256\n")
         assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
 

@@ -184,6 +184,42 @@ def test_total_failure_creates_no_directory(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# (out_dir below tmp_path, jobs, error class, errno): the kernel's own refusals are raised as they are, where a
+# check by os.path.exists would read the path as missing and fail only when the directory is made, after the run
+UNUSABLE_RUNS = {
+    "symlink_loop": ("loop/x", 1, OSError, errno.ELOOP),
+    "over_path_max": ("a/" * 2100, 1, OSError, errno.ENAMETOOLONG),
+    "below_file": ("blocked/x", 1, OSError, None),
+    "jobs_0": ("out", 0, ConfigError, None),
+    "jobs_-1": ("out", -1, ConfigError, None),
+}
+
+
+@pytest.mark.parametrize("entry", ["run_recipe", "run_sweep"])
+@pytest.mark.parametrize("case", UNUSABLE_RUNS)
+def test_unusable_run_fails_before_any_steady_state(entry, case, tmp_path, monkeypatch):
+    import gpdiag.gp
+
+    out, jobs, error, code = UNUSABLE_RUNS[case]
+    calls = []
+    for module in (gpdiag.gp, gpdiag.sweep):
+        monkeypatch.setattr(module, "steady_state", lambda p, real=module.steady_state: calls.append(p) or real(p))
+    (tmp_path / "loop").symlink_to("loop")
+    (tmp_path / "blocked").write_text("a file where the output directory should go")
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(error) as err:
+        if entry == "run_recipe":
+            run_recipe("fig3b", tmp_path / out, samples=3, jobs=jobs)
+        else:
+            run_sweep(parse_config(MINIMAL), tmp_path / out, jobs=jobs)
+    if error is ConfigError:
+        assert str(err.value) == f"jobs must be >= 1, got {jobs}"
+    else:
+        assert err.value.errno == code
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestRunSweep:
     def test_grid_shape(self, tmp_path):
         [path], undefined = run_sweep(spec_2d(), tmp_path)
