@@ -8,11 +8,12 @@ The ground state is stable (no decay out of |1>).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from gpdiag.linops import NoSteadyStateError, hermitian_basis, null_space_unit_trace
+from gpdiag.linops import hermitian_basis, null_space_unit_trace
 
 DEFAULT_GAMMA2 = 6.0   # 5P_3/2 linewidth of 87Rb in MHz
 DEFAULT_GAMMA3_REAL = 1.0   # metastable top level ("scheme I")
@@ -25,6 +26,14 @@ _LOWER_32 = np.outer(_I3[1], _I3[2])   # |2><3|
 
 class ConfigError(ValueError):
     """An invalid parameter value, path, sweep configuration or recipe argument, in one line."""
+
+
+def as_count(name: str, value) -> int:
+    """value as an int where it is an integer (a numpy integer too); anything else raises ConfigError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -122,12 +131,7 @@ def steady_state(p: SystemParams) -> np.ndarray:
 
     Solved exactly from the null space of the real Liouvillian, which
     liouvillian() scales by a power of two, so the state depends only on the
-    direction of theta.  Raises NoSteadyStateError when the null space is not
-    one-dimensional or its vector traceless (from linops), and when the null
-    vector is not positive semidefinite.
+    direction of theta.  Raises NoSteadyStateError where
+    linops.null_space_unit_trace finds no positive semidefinite state.
     """
-    rho = null_space_unit_trace(liouvillian(p))
-    low = float(np.linalg.eigvalsh(rho)[0])  # eigvalsh ascends
-    if low < -1e-10:
-        raise NoSteadyStateError(f"steady state not positive semidefinite (min eigenvalue {low:.3e})")
-    return rho
+    return null_space_unit_trace(liouvillian(p))

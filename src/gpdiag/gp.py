@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpdiag.cascade import ConfigError, SystemParams, steady_state
+from gpdiag.cascade import ConfigError, SystemParams, as_count, steady_state
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
 from gpdiag.photons import atomic_to_photon
 
@@ -48,7 +48,7 @@ class PathSpec:
             raise ConfigError(f"axis start must be < stop, got [{self.start}, {self.stop}]")
         if not np.isfinite(self.stop - self.start):
             raise ConfigError(f"axis span stop - start must be finite, got [{self.start}, {self.stop}]")
-        if self.samples < 2:
+        if as_count("axis samples", self.samples) < 2:
             raise ConfigError(f"axis samples must be >= 2, got {self.samples}")
         # a span of a few ulps rounds samples together, and a repeated sample leaves no step to differentiate by
         if not (np.diff(self.values()) > 0.0).all():

@@ -78,8 +78,9 @@ def null_space_unit_trace(ell) -> np.ndarray:
     `ell` acts on the coordinates of `hermitian_basis(3)` of a 3x3 Hermitian
     matrix; any other shape raises ValueError.  Singular values below
     RANK_EPS times the largest one count as zero.  Exactly one zero singular
-    value is required; any other count, an overflowed decomposition or a
-    traceless null vector raises NoSteadyStateError.
+    value is required; any other count, an overflowed decomposition, a
+    traceless null vector or a state with an eigenvalue below -1e-10 raises
+    NoSteadyStateError: every gap decision of a steady state is made here.
     """
     ell = np.asarray(ell)
     if ell.shape != (9, 9):
@@ -103,4 +104,8 @@ def null_space_unit_trace(ell) -> np.ndarray:
     if abs(tr) < 1e-6:
         raise NoSteadyStateError(f"null vector is traceless (|tr| = {abs(tr):.3e})")
     # a real combination of the Hermitian basis is Hermitian exactly: entries (i, j) and (j, i) are conjugates
-    return ((x / tr) @ _BASIS_ROWS).view(complex).reshape(3, 3)
+    rho = ((x / tr) @ _BASIS_ROWS).view(complex).reshape(3, 3)
+    low = float(np.linalg.eigvalsh(rho)[0])  # eigvalsh ascends
+    if low < -1e-10:
+        raise NoSteadyStateError(f"steady state not positive semidefinite (min eigenvalue {low:.3e})")
+    return rho

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gpdiag.cascade import DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, ConfigError, SystemParams
+from gpdiag.cascade import (
+    DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, ConfigError, SystemParams, as_count,
+)
 from gpdiag.gp import PathSpec, gp_derivative, two_point_phases, unwrap_phases
 from gpdiag.ideal import taylor_gp
 from gpdiag.linops import NoSteadyStateError
@@ -217,6 +219,7 @@ def run_recipe(recipe_id: str, out_dir, samples: int = 601, jobs: int = 1,
     if recipe_id not in _RECIPES:
         raise ConfigError(f"unknown recipe {recipe_id!r}; expected one of {RECIPE_IDS}")
     run, table, need = _RECIPES[recipe_id]
+    samples = as_count("samples", samples)  # an int, so the sidecar takes a numpy integer too
     if samples < need:
         raise ConfigError(f"{recipe_id} needs samples >= {need}, got {samples}")
     SystemParams(0.0, 0.0, 0.0, 0.0, gamma2, gamma3)  # checks both rates: fig3a, for one, never uses gamma3

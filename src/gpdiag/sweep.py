@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from gpdiag.cascade import (
-    DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, ConfigError, SystemParams, steady_state,
+    DEFAULT_GAMMA2, DEFAULT_GAMMA3_IDEAL, DEFAULT_GAMMA3_REAL, ConfigError, SystemParams, as_count, steady_state,
 )
 from gpdiag.gp import PathSpec, gp_curve_from_states, gp_derivative
 from gpdiag.linops import NoSteadyStateError, hermitian_eig
@@ -310,7 +310,7 @@ def check_run(out_dir, jobs: int) -> None:
     ConfigError when jobs < 1, and OSError unless each missing component of out_dir is a name of at most NAME_MAX
     bytes below a writable directory; any other refusal of the kernel's lookup (a symlink loop, a path over
     PATH_MAX) is raised as it is."""
-    if jobs < 1:
+    if as_count("jobs", jobs) < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     path = Path(out_dir).absolute()
     while True:

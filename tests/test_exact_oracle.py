@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from exact_oracle import GENERATOR_TABLE, exact_coordinates, generator, principal_minors, to_matrix
-from gpdiag.cascade import SystemParams, steady_state
+from gpdiag.cascade import SystemParams, liouvillian, steady_state
 from gpdiag.linops import NoSteadyStateError
 from kron_oracle import kron_liouvillian, vec
 
@@ -47,11 +47,13 @@ def test_scheme2_gaps_agree(p):
 
 def test_weak_omega2_rejections_are_rounding():
     # known discrepancy: at omega2 = 0.001 in scheme II the float kernel's absolute -1e-10 eigenvalue threshold
-    # rejects 8 of 21 omega1 points as not positive semidefinite, yet each exact state is the pure dark state
-    # omega2|1> - omega1|3>, so every rejection is rounding; a rule that forgives rounding must update this list
-    omega2 = 0.001
+    # rejects 8 of 21 omega1 points as not positive semidefinite, and the point at drives of 3e8 that the CLI
+    # refuses too, yet each exact state is the pure dark state omega2|1> - omega1|3>, so every rejection is
+    # rounding; a rule that forgives rounding must update this list.  Each rejected eigenvalue lies within the
+    # solve's own error bound eps * s[0] / s[-2] of the scaled generator, the cut that rule would take.
+    prefix = "steady state not positive semidefinite (min eigenvalue "
     rejected = []
-    for omega1 in np.linspace(0.0, 6.0, 21).tolist():
+    for omega1, omega2 in [(omega1, 0.001) for omega1 in np.linspace(0.0, 6.0, 21).tolist()] + [(3e8, 3e8)]:
         p = SystemParams(omega1, omega2, gamma2=6.0, gamma3=0.0)
         x = exact_coordinates(p)
         assert x is not None
@@ -63,6 +65,9 @@ def test_weak_omega2_rejections_are_rounding():
         try:
             steady_state(p)
         except NoSteadyStateError as exc:
-            assert str(exc).startswith("steady state not positive semidefinite")
-            rejected.append(round(omega1, 12))
-    assert rejected == [2.4, 3.0, 3.6, 3.9, 4.2, 5.1, 5.7, 6.0]
+            assert str(exc).startswith(prefix) and str(exc).endswith(")")
+            low = float(str(exc)[len(prefix):-1])
+            s = np.linalg.svd(liouvillian(p), compute_uv=False)
+            assert -low <= np.finfo(float).eps * s[0] / s[-2]
+            rejected.append((round(omega1, 12), omega2))
+    assert rejected == [(omega1, 0.001) for omega1 in (2.4, 3.0, 3.6, 3.9, 4.2, 5.1, 5.7, 6.0)] + [(3e8, 3e8)]

@@ -55,6 +55,15 @@ class TestPathSpec:
         with pytest.raises(ValueError):
             PathSpec(BELL, "omega1", -1.0, 1.0, 5)  # negative Rabi endpoint
 
+    @pytest.mark.parametrize("samples", [5.0, 5.5, np.float64(5.0), "5"], ids=["float", "fraction", "numpy_float", "text"])
+    def test_samples_that_are_not_an_integer_rejected(self, samples):
+        with pytest.raises(ValueError) as err:
+            PathSpec(BELL, "delta1", 0.0, 1.0, samples)
+        assert type(err.value) is ConfigError
+        assert str(err.value) == f"axis samples must be an integer, got {samples!r}"
+        # a numpy integer is an integer
+        assert PathSpec(BELL, "delta1", 0.0, 1.0, np.int64(5)).values().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
     @pytest.mark.parametrize("varying", SWEEPABLE)
     def test_params_at_equals_replace(self, varying):
         base = SystemParams(2.0, 3.0, -1.0, 0.5, 5.5, 0.75)

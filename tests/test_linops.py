@@ -135,6 +135,12 @@ def _only_off_diagonal_null_coordinate():
     return ell
 
 
+def _unit_trace_null_vector_diag_1_1_minus_1():
+    # its one null vector is (1, 1, -1, 0, ..., 0) / sqrt(3), whose unit-trace state is diag(1, 1, -1)
+    v = np.r_[1.0, 1.0, -1.0, np.zeros(6)] / np.sqrt(3.0)
+    return np.eye(9) - np.outer(v, v)
+
+
 # every failure branch of null_space_unit_trace: input, exact exception class, exact message
 _FAILURES = {
     "overflow": (lambda: np.full((9, 9), 1e308), NoSteadyStateError,
@@ -146,6 +152,8 @@ _FAILURES = {
     "dimension 4": (lambda: liouvillian(SystemParams(0.0, 0.0, gamma2=6.0, gamma3=0.0)), NoSteadyStateError,
                     "null space has dimension 4 (singular values <= 1e-09 x largest 1.061e+00, smallest 0.000e+00)"),
     "traceless": (_only_off_diagonal_null_coordinate, NoSteadyStateError, "null vector is traceless (|tr| = 0.000e+00)"),
+    "not positive semidefinite": (_unit_trace_null_vector_diag_1_1_minus_1, NoSteadyStateError,
+                                  "steady state not positive semidefinite (min eigenvalue -1.000e+00)"),
     "shape 1x1": (lambda: np.ones((1, 1)), ValueError, "expected the 9x9 real generator, got shape (1, 1)"),
     "shape 2x2": (lambda: np.zeros((2, 2)), ValueError, "expected the 9x9 real generator, got shape (2, 2)"),
     "shape 4x4": (lambda: np.diag([0.0, 1.0, 2.0, 3.0]), ValueError,
@@ -258,6 +266,8 @@ def test_state_assembly_equals_the_complex_form_bitwise(rng, monkeypatch):
         s = np.r_[np.ones(8), 0.0]
         vh = np.r_[np.zeros((8, 9)), x[None]]
         monkeypatch.setattr(np.linalg, "svd", lambda a: (None, s, vh))
+        # and a positivity check that passes, so that a draw with a negative eigenvalue still returns its state
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.zeros(3))
         rho = null_space_unit_trace(np.eye(9))
         expected = unit_trace_state(x)
         assert rho.dtype == expected.dtype and rho.shape == expected.shape

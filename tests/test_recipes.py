@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import gpdiag.sweep
@@ -40,6 +41,28 @@ def test_derivative_recipe_needs_three_samples(tmp_path, recipe_id):
     assert type(err.value) is gpdiag.sweep.ConfigError
     assert str(err.value) == f"{recipe_id} needs samples >= 3, got 2"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("samples", [7.0, 7.5, np.float64(7.0)], ids=["float", "fraction", "numpy_float"])
+def test_samples_that_are_not_an_integer_rejected_before_any_steady_state(samples, tmp_path, monkeypatch):
+    import gpdiag.gp
+
+    calls = []
+    for module in (gpdiag.gp, gpdiag.sweep):
+        monkeypatch.setattr(module, "steady_state", lambda p, real=module.steady_state: calls.append(p) or real(p))
+    with pytest.raises(ValueError) as err:
+        run_recipe("fig4", tmp_path / "out", samples=samples, jobs=1)
+    assert type(err.value) is gpdiag.sweep.ConfigError
+    assert str(err.value) == f"samples must be an integer, got {samples!r}"
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_numpy_integer_counts_write_what_python_ints_write(tmp_path):
+    # the sidecar used to fail on a numpy sample count, after every CSV was written
+    ints = run_recipe("fig2", tmp_path / "int", samples=5, jobs=2)
+    numpy_ints = run_recipe("fig2", tmp_path / "numpy", samples=np.int64(5), jobs=np.int64(2))
+    assert [p.name for p in ints.files] == [p.name for p in numpy_ints.files]
+    assert [p.read_bytes() for p in ints.files] == [p.read_bytes() for p in numpy_ints.files]
 
 
 @pytest.mark.parametrize("recipe_id", ["fig2", "fig3a"])

@@ -184,14 +184,17 @@ def test_total_failure_creates_no_directory(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-# (out_dir below tmp_path, jobs, error class, errno): the kernel's own refusals are raised as they are, where a
-# check by os.path.exists would read the path as missing and fail only when the directory is made, after the run
+# (out_dir below tmp_path, jobs, error class, errno or message): the kernel's own refusals are raised as they are,
+# where a check by os.path.exists would read the path as missing and fail only when the directory is made, after
+# the run; a worker count that is not an integer used to fail in range() after fig4's base states, or run serially
 UNUSABLE_RUNS = {
     "symlink_loop": ("loop/x", 1, OSError, errno.ELOOP),
     "over_path_max": ("a/" * 2100, 1, OSError, errno.ENAMETOOLONG),
     "below_file": ("blocked/x", 1, OSError, None),
-    "jobs_0": ("out", 0, ConfigError, None),
-    "jobs_-1": ("out", -1, ConfigError, None),
+    "jobs_0": ("out", 0, ConfigError, "jobs must be >= 1, got 0"),
+    "jobs_-1": ("out", -1, ConfigError, "jobs must be >= 1, got -1"),
+    "jobs_2.5": ("out", 2.5, ConfigError, "jobs must be an integer, got 2.5"),
+    "jobs_1.5": ("out", 1.5, ConfigError, "jobs must be an integer, got 1.5"),
 }
 
 
@@ -200,7 +203,7 @@ UNUSABLE_RUNS = {
 def test_unusable_run_fails_before_any_steady_state(entry, case, tmp_path, monkeypatch):
     import gpdiag.gp
 
-    out, jobs, error, code = UNUSABLE_RUNS[case]
+    out, jobs, error, expected = UNUSABLE_RUNS[case]
     calls = []
     for module in (gpdiag.gp, gpdiag.sweep):
         monkeypatch.setattr(module, "steady_state", lambda p, real=module.steady_state: calls.append(p) or real(p))
@@ -209,13 +212,13 @@ def test_unusable_run_fails_before_any_steady_state(entry, case, tmp_path, monke
     before = sorted(tmp_path.iterdir())
     with pytest.raises(error) as err:
         if entry == "run_recipe":
-            run_recipe("fig3b", tmp_path / out, samples=3, jobs=jobs)
+            run_recipe("fig4", tmp_path / out, samples=3, jobs=jobs)
         else:
             run_sweep(parse_config(MINIMAL), tmp_path / out, jobs=jobs)
     if error is ConfigError:
-        assert str(err.value) == f"jobs must be >= 1, got {jobs}"
+        assert str(err.value) == expected
     else:
-        assert err.value.errno == code
+        assert err.value.errno == expected
     assert calls == []
     assert sorted(tmp_path.iterdir()) == before
 
