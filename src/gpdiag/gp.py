@@ -25,8 +25,10 @@ from gpdiag.photons import atomic_to_photon
 
 EPS_VIS = 1e-9
 EPS_LAMBDA = 1e-10
+# eigh rounds a state's eigenvalues by about eps * ||rho|| <= 2.2e-16 (1.3e-15 at most measured where two are 0 at
+# scheme II's resonance); ones closer than a thousand times that are degenerate, with an arbitrary basis of eigenvectors
+EPS_DEGENERATE = 1e-12
 GAUGE_TOL = 1e-8
-_AMBIGUITY_TOL = 1e-6
 
 SWEEPABLE = ("delta1", "delta2", "omega1", "omega2")
 
@@ -67,14 +69,14 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class SpectralTrajectory:
-    """Branch-matched spectral data along a path.
+    """Spectral data along a path, branches labelled by eigenvalue order.
 
-    eigenvalues[j, k] and eigenvectors[j, :, k] belong to branch k; branch
-    labels follow descending eigenvalue order at the first point and are
-    continued across points by maximal-overlap matching.  kept_branches lists
-    the branches whose eigenvalue stays above the weight threshold at both
-    endpoints.  resolution_warning is set when branch matching was ambiguous
-    or consecutive overlaps fell below the sampling-resolution heuristic.
+    eigenvalues[j, k] and eigenvectors[j, :, k] belong to branch k, the k-th
+    largest eigenvalue at sample j.  kept_branches lists the branches whose
+    eigenvalue stays above the weight threshold at both endpoints.
+    min_overlap is the smallest |<phi_k(j)|phi_k(j+1)>| over branches and
+    steps; resolution_warning is set when it falls below the
+    sampling-resolution heuristic 1 - 10 max_j ||rho(j+1) - rho(j)||^2.
     """
 
     eigenvalues: np.ndarray
@@ -96,41 +98,12 @@ def sample_path(spec: PathSpec) -> list:
     return states
 
 
-def _greedy_match(overlaps: np.ndarray):
-    """Greedy maximal-overlap assignment on every step of an (S, n, n) stack at once.
-
-    Each of the n rounds takes, per step, the largest overlap among free rows
-    and columns; ties go to the row of larger eigenvalue, not of lower branch
-    label, which matters only for candidates in one row or column equal up to
-    rounding, and those set the flag.  Returns (perm, ambiguous): perm[s, a]
-    is the column matched to row a; ambiguous[s] is set when a selection of
-    step s had a competitor in its row or column within _AMBIGUITY_TOL.
-    """
-    steps, n, _ = overlaps.shape
-    s = np.arange(steps)
-    free = overlaps.copy()
-    perm = np.empty((steps, n), dtype=int)
-    ambiguous = np.zeros(steps, dtype=bool)
-    for _ in range(n):
-        a, b = np.divmod(np.argmax(free.reshape(steps, -1), axis=1), n)
-        best = free[s, a, b][:, None]
-        # a competitor within tolerance in the pick's row or column leaves the
-        # continuation unresolved (the pick counts twice; taken lines hold -inf)
-        ambiguous |= (np.abs(np.hstack([free[s, a], free[s, :, b]]) - best) < _AMBIGUITY_TOL).sum(axis=1) > 2
-        perm[s, a] = b
-        free[s, a] = -np.inf
-        free[s, :, b] = -np.inf
-    return perm, ambiguous
-
-
 def track_spectrum(states) -> SpectralTrajectory:
-    """Eigen-decompose the whole path at once and continue the branches along it.
+    """Eigen-decompose the whole path at once; branch k is the k-th largest eigenvalue at every sample.
 
-    Branches are matched between consecutive points by the greedy assignment
-    on the overlap-magnitude matrices (ties go to eigenvalue order at the
-    earlier point, see _greedy_match), so a branch follows its eigenvector
-    through eigenvalue crossings; its columns follow by composing the step
-    permutations.  A branch whose eigenvalue is below EPS_LAMBDA at either
+    Away from exact degeneracies, which _prefix_terms bridges, descending order
+    is the continuation of the eigenvalues of a one-parameter Hermitian family
+    (Rellich; Kato).  A branch whose eigenvalue is below EPS_LAMBDA at either
     endpoint carries no weight and is left out of kept_branches.  Each state
     must be Hermitian within HERMITICITY_TOL.
     """
@@ -138,16 +111,9 @@ def track_spectrum(states) -> SpectralTrajectory:
         raise ValueError("need at least 2 states to track a spectrum")
     rhos = np.asarray(states, dtype=complex)
     lam, vecs = (x[..., ::-1] for x in hermitian_eig(rhos))
-    overlaps = np.abs(vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:])
-    perm, ambiguous = _greedy_match(overlaps)
-    min_overlap = min(1.0, float(np.take_along_axis(overlaps, perm[:, :, None], axis=2).min()))
+    min_overlap = min(1.0, float(np.abs(vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:]).diagonal(0, 1, 2).min()))
     spacing = np.linalg.norm(np.diff(rhos, axis=0), axis=(1, 2)).max()
-    warning = bool(ambiguous.any() or min_overlap < 1.0 - 10.0 * spacing * spacing)
-    cols = [np.arange(lam.shape[1])]
-    for step in perm:
-        cols.append(step[cols[-1]])
-    lam = np.take_along_axis(lam, np.array(cols), axis=1)
-    vecs = np.take_along_axis(vecs, np.array(cols)[:, None, :], axis=2)
+    warning = bool(min_overlap < 1.0 - 10.0 * spacing * spacing)
     kept = tuple(int(k) for k in np.flatnonzero((lam[0] >= EPS_LAMBDA) & (lam[-1] >= EPS_LAMBDA)))
     return SpectralTrajectory(lam, vecs, kept, warning, min_overlap)
 
@@ -157,16 +123,24 @@ def _prefix_terms(traj: SpectralTrajectory) -> np.ndarray:
 
     Row j, column b holds sqrt(lambda_k(0) lambda_k(j)) z_k for branch
     k = kept_branches[b], with z_k taken over the prefix; row 0 holds
-    lambda_k(0).  With no kept branch the array has no column.
+    lambda_k(0).  With no kept branch the array has no column.  A kept branch
+    within EPS_DEGENERATE of a neighbouring eigenvalue at an interior sample
+    is bridged: its transport runs from the sample before that one (or before
+    a run of them) to the one after, and the sample keeps its own prefix term.
     """
     kept = list(traj.kept_branches)
     lam = traj.eigenvalues[:, kept]
     kets = traj.eigenvectors[:, :, kept].swapaxes(1, 2)[..., None]
     bras = kets.conj().swapaxes(-1, -2)
     # (1, n) @ (n, 1) matmuls are np.vdot's sum, bitwise
-    steps = (bras[:-1] @ kets[1:])[..., 0, 0]
+    turns = np.angle((bras[:-1] @ kets[1:])[..., 0, 0])
     ends = (bras[0] @ kets[1:])[..., 0, 0]
-    z = ends * np.exp(-1j * np.cumsum(np.angle(steps), axis=0))
+    close = np.diff(traj.eigenvalues[1:-1], axis=1) >= -EPS_DEGENERATE
+    bridged = (np.pad(close, ((1, 1), (1, 0))) | np.pad(close, ((1, 1), (0, 1))))[:, kept]
+    for j, b in zip(*np.nonzero(bridged)):
+        anchor = j - 1 - np.argmin(bridged[j - 1::-1, b])  # the last sample before the run
+        turns[j, b] = np.angle((bras[anchor, b] @ kets[j + 1, b])[0, 0]) - turns[anchor:j, b].sum()
+    z = ends * np.exp(-1j * np.cumsum(turns, axis=0))
     weights = np.sqrt(np.maximum(lam[0], 0.0) * np.maximum(lam[1:], 0.0))
     return np.concatenate([lam[:1], weights * z])
 

@@ -138,7 +138,7 @@ def parse_config(text: str, samples: int | None = None, gamma2: float | None = N
         try:
             return PathSpec(base, section["parameter"].strip(), start, stop, count if samples is None else samples)
         except ConfigError as err:
-            # of the axis checks only the two of the sample count start with "axis" and name samples
+            # of the axis checks only the three of the sample count (integer, >= 2, distinct) start "axis", name samples
             flagged = samples is not None and str(err).startswith("axis") and "samples" in str(err)
             raise ConfigError(f"{f'--samples {samples}' if flagged else f'[{section_name}]'}: {err}") from err
 

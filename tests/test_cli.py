@@ -31,8 +31,8 @@ samples = 9
 """
 
 
-# at omega2 = 0.001 in scheme II the omega1 path has steady states at 13 of its 21 points, but no spectral branch
-# keeps weight at both of their ends, so the phase is undefined at every point
+# at omega2 = 0.001 in scheme II the omega1 path has steady states at 13 of its 21 points, all at zero detunings,
+# where gamma_g is 0 up to rounding
 GAP_SWEEP = (SWEEP_1D.replace("scheme = I", "scheme = II\nomega2 = 0.001")
              .replace("purity, gamma_g", "concurrence, gamma_g")
              .replace("parameter = delta1", "parameter = omega1").replace("start = -1", "start = 0")
@@ -269,16 +269,18 @@ samples = 5
         assert 0 < undefined < 21
         assert sum(purity == "" for _, purity in rows) == undefined
 
-    def test_path_without_kept_branch_has_empty_gamma_g(self, tmp_path, capsys):
+    def test_path_with_gaps_has_gamma_g_at_every_solved_point(self, tmp_path, capsys):
         config = tmp_path / "sweep.ini"
         config.write_text(GAP_SWEEP)
         code = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path), "--jobs", "1"])
         assert code == 0
-        assert capsys.readouterr().err == "undefined points: 21\n"
+        assert capsys.readouterr().err == "undefined points: 8\n"
         rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
         assert len(rows) == 21
-        assert all(gamma == "" for *_, gamma in rows)
+        assert [gamma == "" for _, _, gamma in rows] == [concurrence == "" for _, concurrence, _ in rows]
         assert sum(concurrence != "" for _, concurrence, _ in rows) == 13
+        # branch 0 holds the largest eigenvalue at both ends, so it keeps weight; |gamma_g| read 3e-13 at most
+        assert max(abs(float(gamma)) for *_, gamma in rows if gamma) <= 1e-12
 
     def test_drives_at_float_limit_are_gaps(self, tmp_path, capsys):
         config = tmp_path / "sweep.ini"

@@ -129,21 +129,25 @@ class TestTrackSpectrum:
         assert traj.kept_branches == (0,)
         np.testing.assert_allclose(traj.eigenvalues[:, 0], 1.0, atol=1e-9)
 
-    def test_matching_follows_eigenvectors_through_crossing(self):
-        states = [np.diag([0.6, 0.3, 0.1]).astype(complex),
-                  np.diag([0.3, 0.6, 0.1]).astype(complex)]
+    def test_branches_follow_descending_eigenvalue_order(self):
+        # the eigenvalues on e0 and e1 cross between samples 1 and 2: branch k is the k-th largest at every
+        # sample, so branch 0 moves from e0 to e1 at the crossing
+        states = [np.diag([0.6 - x, 0.3 + x, 0.1]).astype(complex) for x in (0.0, 0.1, 0.4, 0.45)]
         traj = track_spectrum(states)
-        # branch 0 starts on e0 (lambda 0.6) and stays on e0 (lambda 0.3)
-        np.testing.assert_allclose(traj.eigenvalues[1], [0.3, 0.6, 0.1], atol=1e-14)
-        assert abs(traj.eigenvectors[1][0, 0]) == 1.0
+        np.testing.assert_allclose(traj.eigenvalues, [[0.6, 0.3, 0.1], [0.5, 0.4, 0.1], [0.7, 0.2, 0.1],
+                                                      [0.75, 0.15, 0.1]], atol=1e-15)
+        np.testing.assert_array_equal(np.abs(traj.eigenvectors[:, :, 0]).argmax(axis=1), [0, 0, 1, 1])
 
-    def test_ambiguous_matching_warns_without_abort(self):
+    def test_unresolved_step_warns_without_abort(self):
+        # two eigenvalues 0.01 apart turn by 45 degrees while the state moves by 0.01: the overlap cos(pi/4) is
+        # below the sampling-resolution bound 1 - 10 * 0.01^2, and the phase is still computed
         c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
         u = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        states = [rho0, u @ rho0 @ u.T]
-        traj = track_spectrum(states)
+        rho0 = np.diag([0.5, 0.49, 0.01]).astype(complex)
+        traj = track_spectrum([rho0, u @ rho0 @ u.T])
         assert traj.resolution_warning
+        assert abs(traj.min_overlap - c) <= 1e-14
+        assert np.isfinite(mixed_state_gp(traj))
 
     def test_eigenvalue_sum_preserved(self):
         states = sample_path(PathSpec(BELL, "delta1", -2.0, 2.0, 21))
@@ -196,8 +200,9 @@ class TestMixedStateGp:
         assert np.isnan(curve[-1]) and np.isfinite(curve[:-1]).all()
 
     def test_undefined_without_kept_branch(self):
-        # the weight moves entirely from e0 to e1, so no branch has it at both ends
-        states = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        # branch 0 of a unit-trace state has lambda >= 1/n, so only an end state whose every eigenvalue is below
+        # EPS_LAMBDA leaves no branch with weight at both ends
+        states = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.5 * EPS_LAMBDA, 0.0]).astype(complex)]
         assert track_spectrum(states).kept_branches == ()
         assert np.isnan(mixed_state_gp(track_spectrum(states)))
         assert np.isnan(gp_curve_from_states(states)).all()

@@ -1,17 +1,22 @@
-"""Sample-by-sample spectral tracking and phase accumulation: the tests' oracle.
+"""Sample-by-sample spectral tracking by greedy matching and phase accumulation: the tests' oracle.
 
-`gp.track_spectrum` and `gp._prefix_terms` run each step over the whole path
-as stacked array operations.  This module keeps the plain sequential form:
-one eigendecomposition and one greedy match per sample, and one accumulator
-per branch, so tests can compare the two on the same states.
+`gp.track_spectrum` labels branches by eigenvalue order and `gp._prefix_terms`
+runs each step over the whole path as stacked array operations.  This module
+keeps the plain sequential form with the other continuation rule: one
+eigendecomposition and one greedy maximal-overlap match per sample, and one
+accumulator per branch, so tests can compare the two on the same states.
+Where every greedy match is the identity, the two rules label alike.
 """
 
 import math
 
 import numpy as np
 
-from gpdiag.gp import _AMBIGUITY_TOL, EPS_LAMBDA, SpectralTrajectory
+from gpdiag.gp import EPS_LAMBDA, SpectralTrajectory, _phase_or_nan, unwrap_phases
 from gpdiag.linops import hermitian_eig
+
+# overlaps this close leave the continuation of a step to the sampling, not to the match
+_AMBIGUITY_TOL = 1e-6
 
 
 def greedy_match(overlaps: np.ndarray):
@@ -51,8 +56,9 @@ def greedy_match(overlaps: np.ndarray):
 def track_spectrum(states):
     """Eigen-decompose each state and continue the branches one step at a time.
 
-    Returns (trajectory, ambiguous): ambiguous is True when some step's greedy
-    match had a competitor within _AMBIGUITY_TOL.
+    Returns (trajectory, ambiguous, relabelled): ambiguous is True when some
+    step's greedy match had a competitor within _AMBIGUITY_TOL, relabelled when
+    some step's match was not the identity.
     """
     m = len(states)
     n = states[0].shape[0]
@@ -62,7 +68,7 @@ def track_spectrum(states):
         w, v = hermitian_eig(rho)
         lam[j] = w[::-1]
         vecs[j] = v[:, ::-1]
-    any_ambiguous = False
+    any_ambiguous = relabelled = False
     min_overlap = 1.0
     spacing = max(
         float(np.linalg.norm(states[j + 1] - states[j])) for j in range(m - 1)
@@ -72,6 +78,7 @@ def track_spectrum(states):
         overlaps = np.abs(vecs[j].conj().T @ vecs[j + 1])
         perm, ambiguous = greedy_match(overlaps)
         any_ambiguous = any_ambiguous or ambiguous
+        relabelled = relabelled or perm != list(range(n))
         vecs[j + 1] = vecs[j + 1][:, perm]
         lam[j + 1] = lam[j + 1][perm]
         matched = min(overlaps[a, perm[a]] for a in range(n))
@@ -82,7 +89,7 @@ def track_spectrum(states):
     kept = tuple(
         k for k in range(n) if lam[0, k] >= EPS_LAMBDA and lam[-1, k] >= EPS_LAMBDA
     )
-    return SpectralTrajectory(lam, vecs, kept, warning, min_overlap), any_ambiguous
+    return SpectralTrajectory(lam, vecs, kept, warning, min_overlap), any_ambiguous, relabelled
 
 
 def prefix_terms(traj: SpectralTrajectory) -> np.ndarray:
@@ -103,3 +110,10 @@ def prefix_terms(traj: SpectralTrajectory) -> np.ndarray:
             z = np.vdot(vecs[0][:, k], vecs[j][:, k]) * np.exp(-1j * acc[b])
             terms[j, b] = math.sqrt(max(lam[0, k], 0.0) * max(lam[j, k], 0.0)) * z
     return terms
+
+
+def gp_curve(states):
+    """(gamma_g of every prefix with greedy labels, relabelled), the curve summed and unwrapped as gp's is."""
+    traj, _, relabelled = track_spectrum(states)
+    totals = [sum(row, 0.0) for row in prefix_terms(traj)]
+    return unwrap_phases(_phase_or_nan(np.array(totals, dtype=complex))), relabelled
