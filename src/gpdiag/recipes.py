@@ -104,6 +104,8 @@ def _fig4_ideal_column(x0, dx, omega2, gamma2, deltas):
 
 def _fig4_numeric_column(reference, x, omega2, gamma2, gamma3, deltas):
     gammas = np.full(len(deltas), np.nan)
+    if reference is None or x < 0.0:  # no window base state, or a drive angle below 0: all gaps, with no solve
+        return gammas[:, None]
     o1 = math.tan(x) * omega2
     w = math.hypot(o1, omega2)
     states, defined = photon_states([SystemParams(o1, omega2, d * w, 0.0, gamma2, gamma3) for d in deltas])
@@ -118,17 +120,12 @@ def _run_fig4(recipe_id, t, samples, jobs, gamma2, gamma3):
     o2 = t["omega2"]
     windows = t["windows"].items()
     variants = (("scheme2", DEFAULT_GAMMA3_IDEAL), ("scheme1", gamma3))
-    # each window's base state, once per variant; a column whose reference has none is all gaps
+    # each window's base state, once per variant
     bases = [(x0, g3) for _, x0 in windows for _, g3 in variants]
     states, defined = photon_states([SystemParams(math.tan(x0) * o2, o2, 0.0, 0.0, gamma2, g3) for x0, g3 in bases])
     references = dict(zip(defined, states))
-    # a numeric column without a reference state, or at X < 0, is all gaps and is built here, so the one parallel
-    # map gets only columns of equal cost and its fixed worker shares stay balanced; the closed forms run here too
-    payloads = [(references[i], x0 + dx, o2, gamma2, g3, deltas) if i in references and x0 + dx >= 0.0 else None
-                for i, (x0, g3) in enumerate(bases) for dx in dxs]
-    solved = iter(map_columns(_fig4_numeric_column, [p for p in payloads if p is not None], jobs))
-    gap = np.full((samples, 1), np.nan)
-    numeric = iter([gap if p is None else next(solved) for p in payloads])
+    numeric = iter(map_columns(_fig4_numeric_column, [(references.get(i), x0 + dx, o2, gamma2, g3, deltas)
+                                                      for i, (x0, g3) in enumerate(bases) for dx in dxs], jobs))
     tables = []
     for window, x0 in windows:
         surfaces = {"ideal": [_fig4_ideal_column(x0, dx, o2, gamma2, deltas) for dx in dxs]}

@@ -92,7 +92,7 @@ def parse_config(text: str, samples: int | None = None, gamma2: float | None = N
     replaces the config value before any range check; the value it replaces must still be well formed."""
     import configparser
 
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")  # so [DEFAULT] is an ordinary section
     try:
         parser.read_string(text)
     except configparser.MissingSectionHeaderError as err:

@@ -6,7 +6,7 @@ import pytest
 import gpdiag.sweep
 from gpdiag.cascade import steady_state
 from gpdiag.linops import NoSteadyStateError
-from gpdiag.recipes import RECIPE_IDS, run_recipe
+from gpdiag.recipes import RECIPE_IDS, _fig4_numeric_column, run_recipe
 
 
 def read_rows(path):
@@ -164,8 +164,19 @@ class TestFig4(object):
 
     def test_numeric_columns_share_one_parallel_map(self, tmp_path, worker_calls):
         run_recipe("fig4", tmp_path, samples=3, jobs=2)
-        # 2 windows x 2 numeric variants x 13 dX columns, less the 2 x 6 separable ones at X < 0, which are gaps
-        assert worker_calls == [(2, "_fig4_numeric_column", 40)]
+        # 2 windows x 2 numeric variants x 13 dX columns; the gap columns are mapped too and return before any solve
+        assert worker_calls == [(2, "_fig4_numeric_column", 52)]
+
+    @pytest.mark.parametrize("has_reference, x", [(False, 0.1), (True, -0.1)], ids=["no_reference", "negative_x"])
+    def test_gap_column_returns_before_any_solve(self, monkeypatch, has_reference, x):
+        def no_solve(p):
+            raise AssertionError("a gap column solved a steady state")
+
+        monkeypatch.setattr(gpdiag.sweep, "steady_state", no_solve)
+        deltas = np.linspace(-0.5, 0.5, 7)
+        reference = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex) if has_reference else None
+        slopes = _fig4_numeric_column(reference, x, 2.0, 0.5, 1.0, deltas)
+        assert slopes.shape == (7, 1) and np.isnan(slopes).all()
 
     def test_each_reference_state_solved_once(self, tmp_path, monkeypatch):
         calls = []

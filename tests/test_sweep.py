@@ -144,12 +144,15 @@ class TestParseConfig:
          "^path must be at most 255 bytes, got 256$"),
         # the limit counts the bytes of the encoded name: 130 characters here
         (MINIMAL.replace("[sweep]", "[sweep]\npath = " + "\u00e9" * 126 + ".csv"), "at most 255 bytes, got 256$"),
+        # configparser's default-section name is not set aside, so [DEFAULT] is refused like any other unknown section
+        ("[DEFAULT]\n" + MINIMAL, "^unknown section \\[DEFAULT\\]$"),
+        ("[DEFAULT]\nomega1 = 5\n" + MINIMAL, "^unknown section \\[DEFAULT\\]$"),
     ], ids=["non_numeric", "non_finite", "no_header", "no_sweep", "unknown_scheme",
             "missing_axis_key", "non_integer_samples", "empty_outputs",
             "negative_drive_axis", "infinite_axis_span", "detuning_sum_overflow", "joint_grid_corner",
             "duplicate_output", "absolute_path", "path_in_subdirectory", "path_in_parent", "empty_path",
             "parent_directory_path", "nul_in_path", "swept_key", "path_over_name_max",
-            "multibyte_path_over_name_max"])
+            "multibyte_path_over_name_max", "empty_default_section", "key_in_default_section"])
     def test_rejected_config(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
